@@ -871,19 +871,6 @@ impl Simulator {
         }
     }
 
-    /// Enables or disables superblock segment chaining: with chaining on
-    /// (the default), a compiled segment that exits through a carried
-    /// cold edge or cut whose target also has a compiled segment jumps
-    /// directly segment-to-segment instead of bouncing through
-    /// node-at-a-time replay. Purely a performance knob — simulation
-    /// results and all architectural statistics are bit-identical with
-    /// chaining on or off. No effect in [`Mode::Slow`].
-    pub fn set_trace_chaining(&mut self, enabled: bool) {
-        if let Some(pc) = &mut self.shared.pcache {
-            pc.set_chaining(enabled);
-        }
-    }
-
     /// Branch-predictor statistics.
     pub fn predictor(&self) -> &fastsim_emu::BranchPredictor {
         self.shared.emu.predictor()

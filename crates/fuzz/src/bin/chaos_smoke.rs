@@ -30,12 +30,13 @@ fn main() -> std::process::ExitCode {
 #[cfg(unix)]
 mod imp {
     use fastsim_fuzz::chaos::{
-        drain_and_verify, post_chaos_identity, run_storm, RetryClient, StormConfig,
+        drain_and_verify, post_chaos_identity, run_storm, RetryClient, SeededFaults, StormConfig,
     };
     use fastsim_serve::json::Json;
-    use fastsim_serve::server::{ChaosConfig, Listener, ServeConfig, Server};
+    use fastsim_serve::server::{Listener, ServeConfig, Server};
     use std::path::PathBuf;
     use std::process::ExitCode;
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     pub fn run() -> ExitCode {
@@ -81,9 +82,9 @@ mod imp {
             workers: 2,
             refreeze_every: 2,
             backoff_base: Duration::from_millis(5),
-            chaos: Some(ChaosConfig::moderate(seed)),
             ..ServeConfig::default()
         };
+        let faults = Arc::new(SeededFaults::new(seed));
         let listener = match Listener::unix(&socket) {
             Ok(l) => l,
             Err(e) => {
@@ -91,7 +92,7 @@ mod imp {
                 return ExitCode::FAILURE;
             }
         };
-        let handle = Server::start(cfg, vec![listener]);
+        let handle = Server::start_with_faults(cfg, vec![listener], faults.clone());
 
         // Phase 1: the storm, with server-side chaos live.
         let storm = run_storm(&socket, seed ^ 0x5707_1111, &StormConfig::default());
@@ -121,7 +122,7 @@ mod imp {
 
         // Phase 3: quiesce chaos, then demand bit-identity with an
         // offline batch run (no cache poisoning).
-        handle.quiesce_chaos();
+        faults.quiesce();
         let (post_chaos_identical, identity_detail) =
             match post_chaos_identity(&socket, 20_000) {
                 Ok(()) => (true, String::new()),
@@ -131,7 +132,8 @@ mod imp {
             eprintln!("post-chaos identity violated: {identity_detail}");
         }
 
-        // Shut down and pull the final dump (carries the chaos counters).
+        // Shut down, pull the final dump, and read the fault counts off
+        // the seam.
         let mut client = RetryClient::new(&socket);
         let stopped = client.request(&Json::obj([("op", Json::from("shutdown"))]));
         let final_metrics = handle.wait();
@@ -139,11 +141,7 @@ mod imp {
             && final_metrics.get("schema").and_then(Json::as_str)
                 == Some(fastsim_serve::metrics::SCHEMA)
             && Json::parse(&final_metrics.to_string()).as_ref() == Ok(&final_metrics);
-        let chaos_counters = final_metrics.get("chaos").cloned().unwrap_or(Json::Null);
-        let faults_injected = ["drops", "truncations", "panics_injected"]
-            .iter()
-            .filter_map(|k| chaos_counters.get(k).and_then(Json::as_u64))
-            .sum::<u64>();
+        let faults_injected = faults.counts().total();
 
         let ok = all_settled
             && metrics_schema_ok
@@ -168,7 +166,7 @@ mod imp {
             ("mid_response_disconnects", Json::from(storm.mid_response_disconnects)),
             ("transport_retries", Json::from(storm.transport_retries)),
             ("faults_injected", Json::from(faults_injected)),
-            ("chaos", chaos_counters),
+            ("chaos", faults.to_json()),
             ("all_settled", Json::Bool(all_settled)),
             ("metrics_schema_ok", Json::Bool(metrics_schema_ok)),
             ("post_chaos_identical", Json::Bool(post_chaos_identical)),

@@ -188,18 +188,7 @@ fn main() -> ExitCode {
         ("policies", Json::from(cfg.policies.len())),
         (
             "replay",
-            Json::Arr(
-                cfg.replay
-                    .iter()
-                    .map(|r| {
-                        Json::from(format!(
-                            "hotness={},chain={}",
-                            r.hotness,
-                            if r.chaining { "on" } else { "off" }
-                        ))
-                    })
-                    .collect(),
-            ),
+            Json::Arr(cfg.replay.iter().map(|h| Json::from(format!("hotness={h}"))).collect()),
         ),
         ("runs", Json::from(runs)),
         ("retired_insts", Json::from(report.retired_insts)),

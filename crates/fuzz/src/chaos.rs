@@ -1,10 +1,11 @@
-//! Serve-path chaos drivers: a retrying client that survives injected
-//! connection faults, a seeded request storm, and the post-storm
-//! invariant checks.
+//! Serve-path chaos: seeded server-side faults, a retrying client that
+//! survives them, a seeded request storm, and the post-storm invariant
+//! checks.
 //!
-//! The server side of fault injection lives in `fastsim-serve`
-//! ([`fastsim_serve::server::ChaosConfig`]): seeded response drops,
-//! mid-line truncations, and worker panics. This module drives a chaotic
+//! The server runs unmodified: [`SeededFaults`] fills its fault seam
+//! ([`fastsim_serve::server::Faults`], installed with
+//! `Server::start_with_faults`) with seeded response drops, mid-line
+//! truncations, and worker panics. This module also drives a chaotic
 //! *client-side* load against such a server — malformed frames, partial
 //! frames, slow-loris byte dribbles, half-open sockets, mid-response
 //! disconnects, deadline storms, priority mixes — and then asserts the
@@ -21,11 +22,112 @@ use fastsim_core::{BatchDriver, BatchJob};
 use fastsim_prng::Rng;
 use fastsim_serve::json::Json;
 use fastsim_serve::metrics::SCHEMA;
+use fastsim_serve::server::{Faults, ResponseFault};
 use fastsim_workloads::Manifest;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Per-mille (‰) chance a response is silently dropped (connection
+/// closed without answering): 15 %.
+const DROP_PER_MILLE: u32 = 150;
+
+/// Per-mille chance a response is truncated mid-line (partial bytes, no
+/// trailing newline, then the connection closes): 10 %.
+const TRUNCATE_PER_MILLE: u32 = 100;
+
+/// Per-mille chance a worker attempt panics mid-job (on top of any
+/// per-job `chaos_panics` the client requested): 10 %.
+const PANIC_PER_MILLE: u32 = 100;
+
+/// How many faults a [`SeededFaults`] has injected so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultCounts {
+    /// Responses dropped.
+    pub drops: u64,
+    /// Responses truncated.
+    pub truncations: u64,
+    /// Worker attempts made to panic.
+    pub panics: u64,
+}
+
+impl FaultCounts {
+    /// Faults of every class.
+    pub fn total(&self) -> u64 {
+        self.drops + self.truncations + self.panics
+    }
+}
+
+/// The seeded [`Faults`] implementation, at the fixed rates above. Every
+/// fault decision is a roll of one deterministic [`fastsim_prng`] stream
+/// (thread interleaving still varies which *request* gets which roll,
+/// but fault density is reproducible).
+pub struct SeededFaults {
+    /// The decision stream, whether rolls still fire, and the counts
+    /// (a leaf lock: taken only for one roll or one read).
+    state: Mutex<(Rng, bool, FaultCounts)>,
+}
+
+impl SeededFaults {
+    /// Live faults whose decisions roll from the given seed.
+    pub fn new(seed: u64) -> SeededFaults {
+        SeededFaults { state: Mutex::new((Rng::new(seed), true, FaultCounts::default())) }
+    }
+
+    /// Stops injecting; the counts keep the storm's evidence. Quiescing
+    /// is how a harness switches from "survive the storm" to "verify
+    /// clean behavior".
+    pub fn quiesce(&self) {
+        self.state.lock().unwrap().1 = false;
+    }
+
+    /// The faults injected so far.
+    pub fn counts(&self) -> FaultCounts {
+        self.state.lock().unwrap().2
+    }
+
+    /// The state as a JSON object (`enabled`, `drops`, `truncations`,
+    /// `panics_injected`).
+    pub fn to_json(&self) -> Json {
+        let (_, enabled, c) = &*self.state.lock().unwrap();
+        Json::obj([
+            ("enabled", Json::Bool(*enabled)),
+            ("drops", Json::from(c.drops)),
+            ("truncations", Json::from(c.truncations)),
+            ("panics_injected", Json::from(c.panics)),
+        ])
+    }
+}
+
+impl Faults for SeededFaults {
+    fn response(&self) -> ResponseFault {
+        let (rng, enabled, counts) = &mut *self.state.lock().unwrap();
+        if !*enabled {
+            return ResponseFault::Deliver;
+        }
+        let roll = rng.range_u64(0..1000) as u32;
+        if roll < DROP_PER_MILLE {
+            counts.drops += 1;
+            ResponseFault::Drop
+        } else if roll < DROP_PER_MILLE + TRUNCATE_PER_MILLE {
+            counts.truncations += 1;
+            ResponseFault::Truncate
+        } else {
+            ResponseFault::Deliver
+        }
+    }
+
+    fn attempt_panics(&self) -> bool {
+        let (rng, enabled, counts) = &mut *self.state.lock().unwrap();
+        if !*enabled || rng.range_u64(0..1000) as u32 >= PANIC_PER_MILLE {
+            return false;
+        }
+        counts.panics += 1;
+        true
+    }
+}
 
 /// Attempts before a request is declared undeliverable. Each attempt is
 /// a fresh connection and an independent chaos roll, so with any drop
@@ -61,8 +163,43 @@ impl RetryClient {
     /// Like [`RetryClient::request`], but sends a raw line (possibly
     /// malformed — the server should answer with an error response).
     pub fn request_line(&mut self, line: &str) -> Json {
+        self.send(line, &[], false)
+    }
+
+    /// Sends a request split into flushed partial frames (with pauses),
+    /// retrying whole attempts until a parsable response arrives. The
+    /// server must reassemble the line across reads.
+    pub fn request_chunked(&mut self, line: &str) -> Json {
+        let thirds = [line.len() / 3, 2 * line.len() / 3];
+        self.send(line, &thirds, false)
+    }
+
+    /// Slow-loris delivery: the request dribbles in one byte per flush,
+    /// with a pause after each. A readiness-driven server buffers the
+    /// partial line without burning a thread (or a poll loop) on it; the
+    /// request must still be answered once the newline lands.
+    pub fn request_slow_loris(&mut self, line: &str) -> Json {
+        let splits: Vec<usize> = (1..line.len() + 1).collect();
+        self.send(line, &splits, false)
+    }
+
+    /// Half-open delivery: the client sends the request, closes its
+    /// *writing* half, and only then reads. The server sees EOF right
+    /// after the request but must still deliver the response before
+    /// closing its side.
+    pub fn request_half_open(&mut self, line: &str) -> Json {
+        self.send(line, &[], true)
+    }
+
+    /// Repeats [`one_shot`] until it yields a parsable response, counting
+    /// the retries.
+    ///
+    /// # Panics
+    ///
+    /// After `RETRY_CAP` failed attempts.
+    fn send(&mut self, line: &str, splits: &[usize], half_open: bool) -> Json {
         for _ in 0..RETRY_CAP {
-            match one_shot(&self.path, line, &[]) {
+            match one_shot(&self.path, line, splits, half_open) {
                 Ok(v) => return v,
                 Err(_) => {
                     self.retries += 1;
@@ -72,64 +209,12 @@ impl RetryClient {
         }
         panic!("no response for {line:?} after {RETRY_CAP} attempts");
     }
-
-    /// Sends a request split into flushed partial frames (with pauses),
-    /// retrying whole attempts until a parsable response arrives. The
-    /// server must reassemble the line across reads.
-    pub fn request_chunked(&mut self, line: &str) -> Json {
-        let thirds = [line.len() / 3, 2 * line.len() / 3];
-        for _ in 0..RETRY_CAP {
-            match one_shot(&self.path, line, &thirds) {
-                Ok(v) => return v,
-                Err(_) => {
-                    self.retries += 1;
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-        panic!("no response for chunked {line:?} after {RETRY_CAP} attempts");
-    }
-
-    /// Slow-loris delivery: the request dribbles in one byte per flush,
-    /// with a pause after each. A readiness-driven server buffers the
-    /// partial line without burning a thread (or a poll loop) on it; the
-    /// request must still be answered once the newline lands.
-    pub fn request_slow_loris(&mut self, line: &str) -> Json {
-        let framed_len = line.len() + 1;
-        let splits: Vec<usize> = (1..framed_len).collect();
-        for _ in 0..RETRY_CAP {
-            match one_shot(&self.path, line, &splits) {
-                Ok(v) => return v,
-                Err(_) => {
-                    self.retries += 1;
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-        panic!("no response for slow-loris {line:?} after {RETRY_CAP} attempts");
-    }
-
-    /// Half-open delivery: the client sends the request, closes its
-    /// *writing* half, and only then reads. The server sees EOF right
-    /// after the request but must still deliver the response before
-    /// closing its side.
-    pub fn request_half_open(&mut self, line: &str) -> Json {
-        for _ in 0..RETRY_CAP {
-            match half_open_shot(&self.path, line) {
-                Ok(v) => return v,
-                Err(_) => {
-                    self.retries += 1;
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-        panic!("no response for half-open {line:?} after {RETRY_CAP} attempts");
-    }
 }
 
 /// One connection, one request line (split at `splits` byte offsets with
-/// a flush and a pause after each), one response line.
-fn one_shot(path: &Path, line: &str, splits: &[usize]) -> std::io::Result<Json> {
+/// a flush and a pause after each; with `half_open`, the writing half is
+/// shut before reading), one response line.
+fn one_shot(path: &Path, line: &str, splits: &[usize], half_open: bool) -> std::io::Result<Json> {
     let mut stream = UnixStream::connect(path)?;
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
     let framed = format!("{line}\n");
@@ -144,29 +229,10 @@ fn one_shot(path: &Path, line: &str, splits: &[usize]) -> std::io::Result<Json> 
     }
     stream.write_all(&bytes[sent..])?;
     stream.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    let n = reader.read_line(&mut response)?;
-    if n == 0 || !response.ends_with('\n') {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "response dropped or truncated",
-        ));
+    if half_open {
+        stream.shutdown(std::net::Shutdown::Write)?;
     }
-    Json::parse(response.trim()).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad response json: {e}"))
-    })
-}
 
-/// One half-open attempt: write the request, `shutdown(Write)`, then read
-/// the response off the surviving read half.
-fn half_open_shot(path: &Path, line: &str) -> std::io::Result<Json> {
-    let mut stream = UnixStream::connect(path)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.write_all(format!("{line}\n").as_bytes())?;
-    stream.flush()?;
-    stream.shutdown(std::net::Shutdown::Write)?;
     let mut reader = BufReader::new(stream);
     let mut response = String::new();
     let n = reader.read_line(&mut response)?;
@@ -414,7 +480,7 @@ pub fn drain_and_verify(socket: &Path) -> Result<Json, String> {
 /// Submits a clean waiting job set and requires its deterministic result
 /// rows to be bit-identical to an offline [`BatchDriver`] run of the same
 /// manifest — the "no cache poisoning" gate. Call after the chaos source
-/// is quiesced (`ServerHandle::quiesce_chaos`).
+/// is quiesced ([`SeededFaults::quiesce`]).
 ///
 /// # Errors
 ///

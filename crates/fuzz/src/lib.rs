@@ -10,14 +10,14 @@
 //!    synthetic kernels (instruction mixes, branch topologies, memory
 //!    strides, loop nests); [`oracle`] runs each through the detailed
 //!    baseline and the memoized fast path across hierarchy presets, GC
-//!    policies, replay strategies (node-at-a-time vs trace-compiled,
-//!    segment chaining off vs on) and freeze/thaw/merge cycles,
+//!    policies, replay strategies (node-at-a-time vs trace-compiled)
+//!    and freeze/thaw/merge cycles,
 //!    demanding bit-identical statistics; [`shrink()`] minimizes failures;
 //!    [`corpus`] persists replayable seed files into `fuzz/corpus/`.
 //! 2. **Serve-path chaos** — [`chaos`] drives a seeded fault storm
 //!    (malformed and partial frames, deadline storms, per-job panics)
-//!    against a `fastsim-serve` server configured with server-side fault
-//!    injection ([`fastsim_serve::server::ChaosConfig`]: response drops,
+//!    against a `fastsim-serve` server whose fault seam it fills with
+//!    seeded server-side faults ([`chaos::SeededFaults`]: response drops,
 //!    truncations, worker panics), then verifies the settled-state
 //!    invariants and the no-cache-poisoning guarantee.
 //! 3. **Snapshot-codec corruption fuzzing** — [`snapshot`] freezes real
@@ -48,9 +48,7 @@ pub mod snapshot;
 
 pub use journal::{run_journal_fuzz, JournalFuzzReport};
 pub use kernel::{KernelOp, KernelSpec};
-pub use oracle::{
-    check, CheckSummary, Failure, FaultInjection, FreezeThaw, OracleConfig, ReplayVariant,
-};
+pub use oracle::{check, CheckSummary, Failure, FaultInjection, FreezeThaw, OracleConfig};
 pub use shrink::{shrink, ShrinkOutcome};
 pub use snapshot::{run_snapshot_fuzz, SnapshotFuzzReport};
 

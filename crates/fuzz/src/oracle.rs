@@ -3,8 +3,8 @@
 //! [`check`] runs one generated kernel through the detailed baseline
 //! (`Mode::Slow`) and the memoized fast path under a configurable matrix
 //! of hierarchy presets × GC policies × replay strategies (node-at-a-time
-//! vs trace-compiled with segment chaining off vs on — the three-way
-//! [`ReplayVariant`] axis), plus a freeze/thaw/merge cycle through
+//! vs eagerly and adaptively trace-compiled — the three-way hotness
+//! axis, [`OracleConfig::replay`]), plus a freeze/thaw/merge cycle through
 //! [`BatchDriver`], and demands bit-identical statistics everywhere — the
 //! paper's central claim, under arbitrary inputs instead of hand-picked
 //! workloads.
@@ -48,37 +48,6 @@ pub enum FreezeThaw {
     AllPresets,
 }
 
-/// One fast-path replay strategy to sweep: a trace-compilation hotness
-/// threshold plus the superblock-chaining switch. Three canonical points
-/// span the replay design space: [`node`](ReplayVariant::node) (no
-/// segments at all), [`unchained`](ReplayVariant::unchained) (segments,
-/// every exit bounces through the node arena) and
-/// [`chained`](ReplayVariant::chained) (segments jump segment-to-segment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplayVariant {
-    /// Trace-compilation hotness threshold (`u32::MAX` = node-at-a-time).
-    pub hotness: u32,
-    /// Whether segment exits chain directly into other segments.
-    pub chaining: bool,
-}
-
-impl ReplayVariant {
-    /// Pure node-at-a-time replay: trace compilation disabled.
-    pub fn node() -> ReplayVariant {
-        ReplayVariant { hotness: u32::MAX, chaining: false }
-    }
-
-    /// Eager trace compilation with segment chaining disabled.
-    pub fn unchained() -> ReplayVariant {
-        ReplayVariant { hotness: 0, chaining: false }
-    }
-
-    /// Eager trace compilation with segment chaining enabled.
-    pub fn chained() -> ReplayVariant {
-        ReplayVariant { hotness: 0, chaining: true }
-    }
-}
-
 /// The comparison matrix one kernel is checked under.
 #[derive(Clone, Debug)]
 pub struct OracleConfig {
@@ -86,8 +55,12 @@ pub struct OracleConfig {
     pub presets: Vec<String>,
     /// GC policies for the fast runs.
     pub policies: Vec<Policy>,
-    /// Fast-path replay strategies (hotness × chaining) for the fast runs.
-    pub replay: Vec<ReplayVariant>,
+    /// Fast-path replay strategies for the fast runs, as trace-compilation
+    /// hotness thresholds: `u32::MAX` replays node-at-a-time (no
+    /// segments), `0` compiles every replayed head at once, and
+    /// [`fastsim_memo::DEFAULT_HOTNESS_THRESHOLD`] is the simulator's
+    /// adaptive default.
+    pub replay: Vec<u32>,
     /// Also require program output to match the plain functional emulator.
     pub check_emulator: bool,
     /// Also require two identical fast runs to produce bit-identical
@@ -103,9 +76,9 @@ impl OracleConfig {
     /// The full matrix: all three presets, all four GC policies (bounded
     /// ones with a limit small enough that tiny kernels actually trigger
     /// flushes/collections), the three-way replay axis (node-at-a-time,
-    /// eager segments without chaining, eager segments with chaining)
-    /// plus the adaptive default threshold, emulator cross-check,
-    /// determinism check, and the batch lifecycle on the first preset.
+    /// eager segments, the adaptive default threshold), emulator
+    /// cross-check, determinism check, and the batch lifecycle on the
+    /// first preset.
     pub fn thorough() -> OracleConfig {
         let limit = 4 << 10;
         OracleConfig {
@@ -116,15 +89,7 @@ impl OracleConfig {
                 Policy::CopyingGc { limit },
                 Policy::GenerationalGc { limit },
             ],
-            replay: vec![
-                ReplayVariant::node(),
-                ReplayVariant::unchained(),
-                ReplayVariant::chained(),
-                ReplayVariant {
-                    hotness: fastsim_memo::DEFAULT_HOTNESS_THRESHOLD,
-                    chaining: true,
-                },
-            ],
+            replay: vec![u32::MAX, 0, fastsim_memo::DEFAULT_HOTNESS_THRESHOLD],
             check_emulator: true,
             check_determinism: true,
             freeze_thaw: FreezeThaw::FirstPreset,
@@ -133,16 +98,13 @@ impl OracleConfig {
     }
 
     /// A single-variant configuration (first preset, unbounded policy,
-    /// default hotness with chaining, no lifecycle) — the cheap oracle
-    /// the shrinker calls hundreds of times.
+    /// default hotness, no lifecycle) — the cheap oracle the shrinker
+    /// calls hundreds of times.
     pub fn quick() -> OracleConfig {
         OracleConfig {
             presets: vec!["table1".to_string()],
             policies: vec![Policy::Unbounded],
-            replay: vec![ReplayVariant {
-                hotness: fastsim_memo::DEFAULT_HOTNESS_THRESHOLD,
-                chaining: true,
-            }],
+            replay: vec![fastsim_memo::DEFAULT_HOTNESS_THRESHOLD],
             check_emulator: true,
             check_determinism: false,
             freeze_thaw: FreezeThaw::Off,
@@ -251,16 +213,13 @@ pub fn check(spec: &KernelSpec, cfg: &OracleConfig) -> Result<CheckSummary, Fail
 
         let mut first_fast = true;
         for policy in &cfg.policies {
-            for &replay in &cfg.replay {
-                let variant = format!(
-                    "fast({policy:?}, hotness={}, chain={})",
-                    replay.hotness, replay.chaining
-                );
+            for &hotness in &cfg.replay {
+                let variant = format!("fast({policy:?}, hotness={hotness})");
                 let fast = run_variant(
                     &program,
                     Mode::Fast { policy: *policy },
                     &hier,
-                    Some(replay),
+                    Some(hotness),
                     preset,
                     &variant,
                 )?;
@@ -275,7 +234,7 @@ pub fn check(spec: &KernelSpec, cfg: &OracleConfig) -> Result<CheckSummary, Fail
                         &program,
                         *policy,
                         &hier,
-                        replay,
+                        hotness,
                         preset,
                         "determinism-rerun",
                     )?;
@@ -292,7 +251,7 @@ pub fn check(spec: &KernelSpec, cfg: &OracleConfig) -> Result<CheckSummary, Fail
                         &program,
                         *policy,
                         &hier,
-                        replay,
+                        hotness,
                         preset,
                         "determinism-rerun",
                     )?;
@@ -329,7 +288,7 @@ fn run_variant(
     program: &Program,
     mode: Mode,
     hier: &HierarchyConfig,
-    replay: Option<ReplayVariant>,
+    hotness: Option<u32>,
     preset: &str,
     variant: &str,
 ) -> Result<Expected, Failure> {
@@ -340,9 +299,8 @@ fn run_variant(
     };
     let mut sim = Simulator::with_configs(program, mode, UArchConfig::table1(), hier.clone())
         .map_err(|e| fail(format!("build error: {e:?}")))?;
-    if let Some(r) = replay {
-        sim.set_trace_hotness(r.hotness);
-        sim.set_trace_chaining(r.chaining);
+    if let Some(hotness) = hotness {
+        sim.set_trace_hotness(hotness);
     }
     sim.run_to_completion().map_err(|e| fail(format!("sim error: {e:?}")))?;
     Ok(Expected {
@@ -359,7 +317,7 @@ fn run_fast_with_memo(
     program: &Program,
     policy: Policy,
     hier: &HierarchyConfig,
-    replay: ReplayVariant,
+    hotness: u32,
     preset: &str,
     variant: &str,
 ) -> Result<(Expected, fastsim_memo::MemoStats), Failure> {
@@ -375,8 +333,7 @@ fn run_fast_with_memo(
         hier.clone(),
     )
     .map_err(|e| fail(format!("build error: {e:?}")))?;
-    sim.set_trace_hotness(replay.hotness);
-    sim.set_trace_chaining(replay.chaining);
+    sim.set_trace_hotness(hotness);
     sim.run_to_completion().map_err(|e| fail(format!("sim error: {e:?}")))?;
     let memo = *sim.memo_stats().expect("fast mode has memo stats");
     Ok((

@@ -203,9 +203,6 @@ pub struct PActionCache {
     /// The epoch `chain_stamp` entries are valid against (never `0`, so a
     /// zeroed stamp is always unpatched).
     pub(crate) chain_epoch: u32,
-    /// Whether segment exits may chain directly into other compiled
-    /// segments (see [`set_chaining`](PActionCache::set_chaining)).
-    pub(crate) chaining: bool,
     /// Adaptive hotness: global replay-entry clock, paired with
     /// `last_seen`. A head re-entered within [`crate::trace`]'s recency
     /// window weighs more per entry, so tight replay loops promote after
@@ -249,7 +246,6 @@ impl PActionCache {
             hotness_threshold: DEFAULT_HOTNESS_THRESHOLD,
             chain_stamp: Vec::new(),
             chain_epoch: 1,
-            chaining: true,
             entry_clock: 0,
             last_seen: Vec::new(),
             compile_stamp: Vec::new(),

@@ -67,8 +67,8 @@
 //! configuration heads: a mid-chain exit target compiles its own
 //! (unanchored-entry) superblock. Chaining is purely a performance
 //! feature: the executed per-action work is identical, so simulation
-//! results and every architectural statistic are bit-identical with
-//! chaining on or off.
+//! results and every architectural statistic are bit-identical to
+//! node-at-a-time replay.
 //!
 //! *Initial* promotion out of node-at-a-time replay
 //! ([`trace_enter`](PActionCache::trace_enter)) is adaptive rather than
@@ -559,7 +559,7 @@ impl PActionCache {
     /// starting at their own node, so hot exit ladders run
     /// segment-to-segment end to end.
     pub fn chain_enter(&mut self, n: NodeId) -> Option<Arc<TraceSegment>> {
-        if !self.chaining || self.hotness_threshold == u32::MAX {
+        if self.hotness_threshold == u32::MAX {
             return None;
         }
         let i = n as usize;
@@ -582,20 +582,6 @@ impl PActionCache {
         self.chain_stamp[i] = self.chain_epoch;
         self.traces[i] = Some(Arc::clone(&seg));
         Some(seg)
-    }
-
-    /// Whether segment exits chain directly into other compiled segments
-    /// (see [`set_chaining`](PActionCache::set_chaining)).
-    pub fn chaining(&self) -> bool {
-        self.chaining
-    }
-
-    /// Enables or disables superblock chaining (on by default). Purely a
-    /// performance knob: simulation results and every architectural
-    /// statistic are bit-identical either way; only the trace counters in
-    /// [`crate::MemoStats`] differ.
-    pub fn set_chaining(&mut self, enabled: bool) {
-        self.chaining = enabled;
     }
 
     /// Adaptive hotness weight for a hotness-counted entry at node index
@@ -1276,10 +1262,7 @@ mod tests {
         assert_eq!(pc.hotness[b as usize], 0, "chain_enter left the counter alone");
         assert_eq!(pc.trace_count(), 3);
 
-        // The knob and the disabled threshold both stop chaining.
-        pc.set_chaining(false);
-        assert!(pc.chain_enter(head).is_none());
-        pc.set_chaining(true);
+        // The disabled threshold stops chaining.
         pc.set_hotness_threshold(u32::MAX);
         assert!(pc.chain_enter(head).is_none());
     }

@@ -12,8 +12,9 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-/// The underlying connection.
-enum Stream {
+/// A connected socket of either family: a client's connection, and each
+/// connection the server accepts.
+pub(crate) enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
@@ -54,6 +55,16 @@ impl Stream {
             #[cfg(unix)]
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
         })
+    }
+
+    /// The socket's file descriptor.
+    #[cfg(unix)]
+    pub(crate) fn fd(&self) -> std::os::unix::io::RawFd {
+        use std::os::unix::io::AsRawFd;
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        }
     }
 }
 

@@ -22,7 +22,11 @@
 //! * Responses queue in an output buffer; when the socket applies
 //!   backpressure (partial write / `EWOULDBLOCK`) the remainder stays
 //!   queued and the caller re-arms `EPOLLOUT`.
+//! * Requests arriving while an earlier one awaits its deferred response
+//!   park as typed [`Incoming`] items (whichever framing parsed them) and
+//!   are handed back in order once it resolves.
 
+use crate::protocol::Incoming;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
@@ -57,12 +61,15 @@ pub struct ConnBuf {
     outbuf: VecDeque<u8>,
     /// Close the connection once `outbuf` drains.
     close_after_flush: bool,
-    /// Request lines parsed but deferred because an earlier request on
-    /// this connection is still waiting for its (ordered) response.
-    pending: VecDeque<String>,
-    /// A deferred response is outstanding: later requests queue in
-    /// `pending` instead of being handled, preserving FIFO responses.
-    blocked: bool,
+    /// Requests parsed but deferred because an earlier request on this
+    /// connection is still waiting for its (ordered) response.
+    pending: VecDeque<Incoming>,
+    /// `Some(close)` while a deferred response is outstanding (`close`:
+    /// its request asked to close the connection after it). Later
+    /// requests queue in `pending` instead of being handled, preserving
+    /// FIFO responses; there is never more than one, because the
+    /// connection handles nothing else until it resolves.
+    awaiting: Option<bool>,
 }
 
 impl ConnBuf {
@@ -152,30 +159,37 @@ impl ConnBuf {
         Ok(true)
     }
 
-    /// Parks a request line behind an outstanding deferred response.
-    pub fn defer_line(&mut self, line: String) {
-        self.pending.push_back(line);
+    /// Parks a request behind an outstanding deferred response.
+    pub fn defer(&mut self, incoming: Incoming) {
+        self.pending.push_back(incoming);
     }
 
-    /// The next parked line, once the connection unblocks.
-    pub fn next_deferred(&mut self) -> Option<String> {
+    /// The next parked request, once the connection unblocks.
+    pub fn next_deferred(&mut self) -> Option<Incoming> {
         self.pending.pop_front()
     }
 
     /// Whether an earlier request is still awaiting its response (later
     /// requests must park to keep responses FIFO).
     pub fn blocked(&self) -> bool {
-        self.blocked
+        self.awaiting.is_some()
     }
 
-    /// Whether parked request lines are waiting to be handled.
+    /// Whether parked requests are waiting to be handled.
     pub fn has_deferred(&self) -> bool {
         !self.pending.is_empty()
     }
 
-    /// Sets or clears the awaiting-deferred-response state.
-    pub fn set_blocked(&mut self, blocked: bool) {
-        self.blocked = blocked;
+    /// Blocks the connection on a deferred response; `close` is its
+    /// request's close flag.
+    pub fn block(&mut self, close: bool) {
+        self.awaiting = Some(close);
+    }
+
+    /// Unblocks the connection as its deferred response arrives; returns
+    /// that request's close flag.
+    pub fn unblock(&mut self) -> bool {
+        self.awaiting.take().unwrap_or(false)
     }
 }
 
@@ -294,15 +308,20 @@ mod tests {
     }
 
     #[test]
-    fn deferred_lines_keep_fifo_order_while_blocked() {
+    fn deferred_requests_keep_fifo_order_and_the_close_flag() {
+        use crate::protocol::{Request, ServeError};
         let mut c = ConnBuf::new();
         assert!(!c.blocked());
-        c.set_blocked(true);
-        c.defer_line("a".into());
-        c.defer_line("b".into());
-        c.set_blocked(false);
-        assert_eq!(c.next_deferred().as_deref(), Some("a"));
-        assert_eq!(c.next_deferred().as_deref(), Some("b"));
+        c.block(true);
+        let a = Incoming { request: Ok(Request::Ping), close: false };
+        let b = Incoming { request: Err(ServeError::unknown_job(7)), close: true };
+        c.defer(a.clone());
+        c.defer(b.clone());
+        assert!(c.blocked());
+        assert!(c.unblock(), "the deferred request's close flag comes back");
+        assert!(!c.blocked());
+        assert_eq!(c.next_deferred(), Some(a));
+        assert_eq!(c.next_deferred(), Some(b));
         assert_eq!(c.next_deferred(), None);
     }
 

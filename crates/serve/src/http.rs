@@ -1,22 +1,28 @@
 //! The minimal HTTP/1.1 gateway riding the same epoll event loop as the
 //! line protocol.
 //!
-//! The gateway is a *translation layer*, not a second server: an
-//! incremental parser ([`HttpParser`]) assembles requests from whatever
-//! fragmentation the transport produced and maps each route onto the
-//! existing line-protocol op it is equivalent to —
+//! The gateway is a second *framing* of the same requests, not a second
+//! server: an incremental parser ([`HttpParser`]) assembles requests from
+//! whatever fragmentation the transport produced and builds the same
+//! typed [`Request`] a line-protocol line parses into —
 //!
-//! | route | op |
+//! | route | request |
 //! |---|---|
-//! | `POST /v1/jobs` (JSON body) | `submit` |
-//! | `GET /v1/jobs/{id}` | `poll` |
-//! | `GET /v1/metrics` | `metrics` |
+//! | `POST /v1/jobs` (JSON body) | [`Request::Submit`] |
+//! | `GET /v1/jobs/{id}` | [`Request::Poll`] |
+//! | `GET /v1/metrics` | [`Request::Metrics`] |
 //!
-//! — so deferral (`wait: true`), FIFO-per-connection responses,
-//! backpressure, and chaos all work identically on both listeners, and
-//! the response **body** is byte-for-byte the line-protocol response (one
-//! JSON object plus a trailing newline). `tests/serve.rs` asserts that an
-//! HTTP-submitted job and a line-submitted job return identical results.
+//! — with the same field parsers (`crate::protocol`), so deferral
+//! (`wait: true`), FIFO-per-connection responses and backpressure work
+//! identically on both listeners. Routing and framing errors are
+//! [`ServeError`]s like any other refusal: they queue behind earlier
+//! requests in the same typed deferred queue. The status is 200 on
+//! success and otherwise picked by the error's [`ErrorKind`] alone (one
+//! table, `status`), and the response **body** is byte-for-byte the
+//! line-protocol response (one JSON object plus a trailing newline).
+//! `tests/serve.rs` asserts that an HTTP-submitted job and a
+//! line-submitted job return identical results, and that every error
+//! body equals the line protocol's answer to the same request.
 //!
 //! The limits mirror the line protocol's: the header section and the
 //! body are each capped at 1 MiB ([`MAX_HEAD`], [`MAX_BODY`]); a request
@@ -28,7 +34,9 @@
 //! `keep-alive`, closes after the response) and may be pipelined.
 
 use crate::json::Json;
-use std::collections::VecDeque;
+use crate::protocol::{
+    parse_body, parse_job_id, ErrorKind, Incoming, Request, ServeError, SubmitSpec,
+};
 
 /// Cap on the request line + headers (bytes, terminator included) —
 /// the same 1 MiB bound the line protocol places on a request line.
@@ -36,51 +44,6 @@ pub const MAX_HEAD: usize = 1 << 20;
 
 /// Cap on a request body (`Content-Length` bytes).
 pub const MAX_BODY: usize = 1 << 20;
-
-/// One parsed HTTP request, reduced to what the event loop does with it.
-#[derive(Clone, Debug, PartialEq)]
-pub enum HttpItem {
-    /// The request maps onto a line-protocol op: handle `line` exactly as
-    /// if it had arrived on a line connection; frame the eventual
-    /// response for HTTP with `close` deciding the `Connection` header.
-    Op {
-        /// The translated line-protocol request.
-        line: String,
-        /// Close the connection after the response (client asked, or
-        /// HTTP/1.0 default).
-        close: bool,
-    },
-    /// The request was answered by the gateway itself (routing or framing
-    /// error): no op runs, `status`/`body` go straight out.
-    Direct {
-        /// HTTP status code.
-        status: u16,
-        /// Response body (serialized like every protocol response).
-        body: Json,
-        /// Close the connection after the response (always set for
-        /// framing violations).
-        close: bool,
-    },
-}
-
-/// Per-connection HTTP state: the incremental parser plus the FIFO of
-/// per-request close flags (popped as responses are framed — responses
-/// are FIFO per connection, so the fronts always correspond).
-#[derive(Debug, Default)]
-pub struct HttpState {
-    /// The incremental request parser.
-    pub parser: HttpParser,
-    /// `close` flag of each translated-op request still awaiting its
-    /// response, in request order.
-    pub close_flags: VecDeque<bool>,
-}
-
-impl HttpState {
-    /// Fresh state for a newly accepted HTTP connection.
-    pub fn new() -> HttpState {
-        HttpState::default()
-    }
-}
 
 /// Where the parser is within the current request.
 #[derive(Debug, Default)]
@@ -96,21 +59,12 @@ enum ParseState {
 }
 
 /// Incremental HTTP/1.1 request parser. Feed it bytes as they arrive;
-/// it yields complete requests ([`HttpItem`]s) in order, however the
+/// it yields complete requests ([`Incoming`]s) in order, however the
 /// input was fragmented or pipelined.
 #[derive(Debug, Default)]
 pub struct HttpParser {
     buf: Vec<u8>,
     state: ParseState,
-}
-
-/// A framing violation's response: status, message, and death.
-fn violation(status: u16, msg: impl Into<String>) -> HttpItem {
-    HttpItem::Direct {
-        status,
-        body: Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(msg.into()))]),
-        close: true,
-    }
 }
 
 impl HttpParser {
@@ -122,7 +76,7 @@ impl HttpParser {
     /// Feeds received bytes in; returns every request completed by them.
     /// After a framing violation the returned item closes the connection
     /// and the parser goes dead (later bytes are discarded).
-    pub fn ingest(&mut self, bytes: &[u8]) -> Vec<HttpItem> {
+    pub fn ingest(&mut self, bytes: &[u8]) -> Vec<Incoming> {
         if matches!(self.state, ParseState::Dead) {
             return Vec::new();
         }
@@ -132,36 +86,24 @@ impl HttpParser {
             match std::mem::take(&mut self.state) {
                 ParseState::Dead => unreachable!("checked above; never re-entered"),
                 ParseState::Head => {
-                    let Some((head_len, term_len)) = find_head_end(&self.buf) else {
-                        if self.buf.len() > MAX_HEAD {
-                            items.push(violation(
-                                431,
-                                format!("header section exceeds {MAX_HEAD} bytes"),
-                            ));
-                            self.state = ParseState::Dead;
-                            self.buf.clear();
-                        } else {
-                            self.state = ParseState::Head;
-                        }
-                        return items;
-                    };
-                    if head_len + term_len > MAX_HEAD {
-                        items.push(violation(
-                            431,
+                    let end = find_head_end(&self.buf);
+                    let parsed = if end.map_or(self.buf.len(), |(h, t)| h + t) > MAX_HEAD {
+                        Err(ServeError::new(
+                            ErrorKind::HeadTooLarge,
                             format!("header section exceeds {MAX_HEAD} bytes"),
-                        ));
-                        self.state = ParseState::Dead;
-                        self.buf.clear();
-                        return items;
-                    }
-                    let head = self.buf[..head_len].to_vec();
-                    self.buf.drain(..head_len + term_len);
-                    match parse_head(&head) {
+                        ))
+                    } else if let Some((head_len, term_len)) = end {
+                        let head: Vec<u8> = self.buf.drain(..head_len + term_len).collect();
+                        parse_head(&head[..head_len])
+                    } else {
+                        return items; // the head is still arriving
+                    };
+                    match parsed {
                         Ok((method, path, close, need)) => {
                             self.state = ParseState::Body { method, path, close, need };
                         }
-                        Err(item) => {
-                            items.push(item);
+                        Err(e) => {
+                            items.push(Incoming { request: Err(e), close: true });
                             self.state = ParseState::Dead;
                             self.buf.clear();
                             return items;
@@ -174,7 +116,7 @@ impl HttpParser {
                         return items;
                     }
                     let body: Vec<u8> = self.buf.drain(..need).collect();
-                    items.push(route(&method, &path, &body, close));
+                    items.push(Incoming { request: route(&method, &path, &body), close });
                     self.state = ParseState::Head; // pipelining: keep going
                 }
             }
@@ -206,21 +148,26 @@ fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
 /// `(method, path, close_after_response, content_length)` or the
 /// violation to answer with.
 #[allow(clippy::type_complexity)]
-fn parse_head(head: &[u8]) -> Result<(String, String, bool, usize), HttpItem> {
-    let text = std::str::from_utf8(head)
-        .map_err(|_| violation(400, "request head is not valid UTF-8"))?;
+fn parse_head(head: &[u8]) -> Result<(String, String, bool, usize), ServeError> {
+    let bad = ServeError::bad_request;
+    let text = std::str::from_utf8(head).map_err(|_| bad("request head is not valid UTF-8"))?;
     let mut lines = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
     else {
-        return Err(violation(400, format!("malformed request line `{request_line}`")));
+        return Err(ServeError::bad_request(format!("malformed request line `{request_line}`")));
     };
     let mut keep_alive = match version {
         "HTTP/1.1" => true,
         "HTTP/1.0" => false,
-        _ => return Err(violation(505, format!("unsupported protocol version `{version}`"))),
+        _ => {
+            return Err(ServeError::new(
+                ErrorKind::VersionNotSupported,
+                format!("unsupported protocol version `{version}`"),
+            ))
+        }
     };
     let mut content_length = 0usize;
     for line in lines {
@@ -228,25 +175,25 @@ fn parse_head(head: &[u8]) -> Result<(String, String, bool, usize), HttpItem> {
             continue;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(violation(400, format!("malformed header line `{line}`")));
+            return Err(ServeError::bad_request(format!("malformed header line `{line}`")));
         };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| violation(400, format!("bad Content-Length `{value}`")))?;
+                content_length = value.parse().map_err(|_| {
+                    ServeError::bad_request(format!("bad Content-Length `{value}`"))
+                })?;
                 if content_length > MAX_BODY {
-                    return Err(violation(
-                        413,
+                    return Err(ServeError::new(
+                        ErrorKind::BodyTooLarge,
                         format!("request body exceeds {MAX_BODY} bytes"),
                     ));
                 }
             }
             "transfer-encoding" => {
-                return Err(violation(
-                    501,
+                return Err(ServeError::new(
+                    ErrorKind::NotImplemented,
                     "Transfer-Encoding is not supported; send Content-Length",
                 ));
             }
@@ -266,117 +213,67 @@ fn parse_head(head: &[u8]) -> Result<(String, String, bool, usize), HttpItem> {
     Ok((method.to_string(), path, !keep_alive, content_length))
 }
 
-/// Maps one complete request onto its line-protocol op (or a direct
-/// routing/validation answer).
-fn route(method: &str, path: &str, body: &[u8], close: bool) -> HttpItem {
-    match (method, path) {
-        ("GET", "/v1/metrics") => {
-            HttpItem::Op { line: r#"{"op": "metrics"}"#.to_string(), close }
-        }
-        ("POST", "/v1/jobs") => match submit_line(body) {
-            Ok(line) => HttpItem::Op { line, close },
-            Err(msg) => HttpItem::Direct {
-                status: 400,
-                body: Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(msg))]),
-                close,
-            },
-        },
-        (_, p) if p.strip_prefix("/v1/jobs/").is_some_and(|id| !id.is_empty()) => {
-            let id = p.strip_prefix("/v1/jobs/").expect("guard above");
-            if method != "GET" {
-                return method_not_allowed(method, p, "GET", close);
-            }
-            match id.parse::<u64>() {
-                Ok(n) => {
-                    HttpItem::Op { line: format!(r#"{{"op": "poll", "job": {n}}}"#), close }
-                }
-                Err(_) => HttpItem::Direct {
-                    status: 404,
-                    body: Json::obj([
-                        ("ok", Json::Bool(false)),
-                        ("error", Json::Str(format!("unknown job {id}"))),
-                    ]),
-                    close,
-                },
-            }
-        }
-        (_, "/v1/metrics") => method_not_allowed(method, path, "GET", close),
-        (_, "/v1/jobs") => method_not_allowed(method, path, "POST", close),
-        _ => HttpItem::Direct {
-            status: 404,
-            body: Json::obj([
-                ("ok", Json::Bool(false)),
-                ("error", Json::Str(format!("no route for {method} {path}"))),
-            ]),
-            close,
-        },
-    }
-}
-
-fn method_not_allowed(method: &str, path: &str, allowed: &str, close: bool) -> HttpItem {
-    HttpItem::Direct {
-        status: 405,
-        body: Json::obj([
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str(format!("{method} not allowed on {path}; use {allowed}"))),
-        ]),
-        close,
-    }
-}
-
-/// Builds the `submit` op line from a `POST /v1/jobs` body: the body must
-/// be a JSON object; its members pass through verbatim with
-/// `"op": "submit"` prepended (any client-supplied `op` is dropped), so
-/// validation and defaults live in `protocol::SubmitSpec` — one
-/// implementation for both listeners.
-fn submit_line(body: &[u8]) -> Result<String, String> {
-    let text =
-        std::str::from_utf8(body).map_err(|_| "request body is not valid UTF-8".to_string())?;
-    let parsed = Json::parse(text).map_err(|e| format!("request body: {e}"))?;
-    let Json::Obj(pairs) = parsed else {
-        return Err("request body must be a JSON object".to_string());
+/// Builds the request one complete HTTP request stands for, or the
+/// routing/validation error that answers it.
+fn route(method: &str, path: &str, body: &[u8]) -> Result<Request, ServeError> {
+    let not_allowed = |allowed: &str| {
+        Err(ServeError::new(
+            ErrorKind::MethodNotAllowed,
+            format!("{method} not allowed on {path}; use {allowed}"),
+        ))
     };
-    let mut members = vec![("op".to_string(), Json::Str("submit".to_string()))];
-    members.extend(pairs.into_iter().filter(|(k, _)| k != "op"));
-    Ok(Json::Obj(members).to_string())
-}
-
-/// The HTTP status a line-protocol response maps to: `ok: true` → 200;
-/// an `unknown job` error → 404; any other protocol error → 400.
-pub fn status_for(response: &Json) -> u16 {
-    if matches!(response.get("ok"), Some(Json::Bool(true))) {
-        return 200;
-    }
-    match response.get("error").and_then(Json::as_str) {
-        Some(e) if e.starts_with("unknown job") => 404,
-        _ => 400,
-    }
-}
-
-/// The standard reason phrase for the statuses the gateway emits.
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        413 => "Content Too Large",
-        431 => "Request Header Fields Too Large",
-        501 => "Not Implemented",
-        505 => "HTTP Version Not Supported",
-        _ => "Error",
+    match (method, path) {
+        ("GET", "/v1/metrics") => Ok(Request::Metrics),
+        ("POST", "/v1/jobs") => submit_request(body),
+        (_, "/v1/metrics") => not_allowed("GET"),
+        (_, "/v1/jobs") => not_allowed("POST"),
+        _ => match path.strip_prefix("/v1/jobs/").filter(|id| !id.is_empty()) {
+            Some(_) if method != "GET" => not_allowed("GET"),
+            Some(id) => Ok(Request::Poll { job: parse_job_id(id)? }),
+            None => Err(ServeError::new(
+                ErrorKind::NotFound,
+                format!("no route for {method} {path}"),
+            )),
+        },
     }
 }
 
-/// Frames one response: status line, `Content-Type`/`Content-Length`/
-/// `Connection` headers, and the body — which is byte-for-byte the
-/// line-protocol response (one JSON object + `\n`), keeping the two
-/// listeners' payloads identical.
-pub fn frame_response(status: u16, response: &Json, close: bool) -> Vec<u8> {
-    let body = format!("{response}\n");
+/// The submit a `POST /v1/jobs` body describes: the body must be a JSON
+/// object, parsed once and validated by the same
+/// [`SubmitSpec`] parser as a line-protocol `submit` (any `op` member is
+/// ignored, so a body cannot smuggle in another operation).
+fn submit_request(body: &[u8]) -> Result<Request, ServeError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| ServeError::bad_request("request body is not valid UTF-8"))?;
+    let v = parse_body(text)?;
+    if !matches!(v, Json::Obj(_)) {
+        return Err(ServeError::bad_request("request body must be a JSON object"));
+    }
+    Ok(Request::Submit(SubmitSpec::from_json(&v)?))
+}
+
+/// The status code and reason phrase that answer an error of this kind.
+fn status(kind: ErrorKind) -> (u16, &'static str) {
+    match kind {
+        ErrorKind::BadRequest => (400, "Bad Request"),
+        ErrorKind::NotFound => (404, "Not Found"),
+        ErrorKind::MethodNotAllowed => (405, "Method Not Allowed"),
+        ErrorKind::BodyTooLarge => (413, "Content Too Large"),
+        ErrorKind::HeadTooLarge => (431, "Request Header Fields Too Large"),
+        ErrorKind::NotImplemented => (501, "Not Implemented"),
+        ErrorKind::VersionNotSupported => (505, "HTTP Version Not Supported"),
+    }
+}
+
+/// Frames one response: status line (200, or the error kind's status),
+/// `Content-Type`/`Content-Length`/`Connection` headers, and the body —
+/// which is byte-for-byte the line-protocol response line, keeping the
+/// two listeners' payloads identical.
+pub fn frame_response(response: &Result<Json, ServeError>, close: bool) -> Vec<u8> {
+    let (code, reason) = response.as_ref().map_or_else(|e| status(e.kind), |_| (200, "OK"));
+    let body = crate::protocol::response_line(response);
     let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        reason(status),
+        "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         body.len(),
         if close { "close" } else { "keep-alive" },
     );
@@ -385,80 +282,54 @@ pub fn frame_response(status: u16, response: &Json, close: bool) -> Vec<u8> {
     out
 }
 
-/// Encodes a [`HttpItem::Direct`] answer as a deferrable marker line.
-/// Direct answers must honor FIFO responses: when the connection is
-/// blocked on an earlier deferred op, the answer parks in the same
-/// deferred-line queue as translated ops, prefixed with a NUL byte no
-/// legitimate line-protocol request can start with (the serializer
-/// escapes every control character).
-pub fn encode_direct_marker(status: u16, body: &Json, close: bool) -> String {
-    format!("\u{0}{status} {} {body}", u8::from(close))
-}
-
-/// Decodes a marker produced by [`encode_direct_marker`]; `None` for
-/// ordinary lines.
-pub fn decode_direct_marker(line: &str) -> Option<(u16, Json, bool)> {
-    let rest = line.strip_prefix('\u{0}')?;
-    let (status, rest) = rest.split_once(' ')?;
-    let (close, body) = rest.split_once(' ')?;
-    Some((status.parse().ok()?, Json::parse(body).ok()?, close == "1"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn op_line(item: &HttpItem) -> &str {
-        match item {
-            HttpItem::Op { line, .. } => line,
-            HttpItem::Direct { .. } => panic!("expected Op, got {item:?}"),
+    fn request(item: &Incoming) -> &Request {
+        item.request.as_ref().unwrap_or_else(|e| panic!("expected a request, got {e:?}"))
+    }
+
+    fn code(item: &Incoming) -> u16 {
+        match &item.request {
+            Err(e) => status(e.kind).0,
+            Ok(r) => panic!("expected an error, got {r:?}"),
         }
     }
 
-    fn direct_status(item: &HttpItem) -> u16 {
-        match item {
-            HttpItem::Direct { status, .. } => *status,
-            HttpItem::Op { .. } => panic!("expected Direct, got {item:?}"),
-        }
+    fn submit_of(body: &str) -> Vec<u8> {
+        format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+            .into_bytes()
     }
 
     #[test]
-    fn routes_map_onto_line_protocol_ops() {
+    fn routes_build_the_line_protocols_requests() {
         let mut p = HttpParser::new();
         let items = p.ingest(b"GET /v1/metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert_eq!(items.len(), 1);
-        assert_eq!(op_line(&items[0]), r#"{"op": "metrics"}"#);
-        assert!(matches!(items[0], HttpItem::Op { close: false, .. }), "1.1 keeps alive");
+        assert_eq!(items, vec![Incoming { request: Ok(Request::Metrics), close: false }]);
 
         let items = p.ingest(b"GET /v1/jobs/42 HTTP/1.1\r\n\r\n");
-        assert_eq!(op_line(&items[0]), r#"{"op": "poll", "job": 42}"#);
+        assert_eq!(request(&items[0]), &Request::Poll { job: 42 });
 
-        let body = br#"{"kernels": ["compress"], "insts": 20000}"#;
-        let req = format!(
-            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        let mut items = p.ingest(req.as_bytes());
-        items.extend(p.ingest(body));
+        let body = r#"{"kernels": ["compress"], "insts": 20000}"#;
+        let bytes = submit_of(body);
+        let (head, tail) = bytes.split_at(bytes.len() - body.len());
+        let mut items = p.ingest(head);
+        items.extend(p.ingest(tail));
         assert_eq!(items.len(), 1);
-        assert_eq!(
-            op_line(&items[0]),
-            r#"{"op": "submit", "kernels": ["compress"], "insts": 20000}"#
-        );
+        let line = format!(r#"{{"op": "submit", {}"#, &body[1..]);
+        assert_eq!(request(&items[0]), &Request::parse(&line).unwrap());
     }
 
     #[test]
     fn client_supplied_op_member_cannot_smuggle_another_operation() {
-        let body = br#"{"op": "shutdown", "kernels": ["compress"], "insts": 20000}"#;
-        let req =
-            format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len());
         let mut p = HttpParser::new();
-        let mut bytes = req.into_bytes();
-        bytes.extend_from_slice(body);
-        let items = p.ingest(&bytes);
+        let items =
+            p.ingest(&submit_of(r#"{"op": "shutdown", "kernels": ["compress"], "insts": 20000}"#));
         assert_eq!(
-            op_line(&items[0]),
-            r#"{"op": "submit", "kernels": ["compress"], "insts": 20000}"#
+            request(&items[0]),
+            &Request::parse(r#"{"op": "submit", "kernels": ["compress"], "insts": 20000}"#)
+                .unwrap()
         );
     }
 
@@ -477,8 +348,8 @@ mod tests {
         let two = b"GET /v1/jobs/1 HTTP/1.1\r\n\r\nGET /v1/jobs/2 HTTP/1.1\r\n\r\n";
         let items = p.ingest(two);
         assert_eq!(items.len(), 2);
-        assert_eq!(op_line(&items[0]), r#"{"op": "poll", "job": 1}"#);
-        assert_eq!(op_line(&items[1]), r#"{"op": "poll", "job": 2}"#);
+        assert_eq!(request(&items[0]), &Request::Poll { job: 1 });
+        assert_eq!(request(&items[1]), &Request::Poll { job: 2 });
     }
 
     #[test]
@@ -486,7 +357,8 @@ mod tests {
         // Malformed request line.
         let mut p = HttpParser::new();
         let items = p.ingest(b"NOT-HTTP\r\n\r\n");
-        assert_eq!(direct_status(&items[0]), 400);
+        assert_eq!(code(&items[0]), 400);
+        assert!(items[0].close, "a framing violation closes the connection");
         assert!(p.ingest(b"GET /v1/metrics HTTP/1.1\r\n\r\n").is_empty(), "parser is dead");
 
         // Oversized header section (never terminated).
@@ -499,18 +371,18 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(direct_status(&items[0]), 431);
+        assert_eq!(code(&items[0]), 431);
 
         // Oversized body via Content-Length.
         let mut p = HttpParser::new();
         let req = format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        assert_eq!(direct_status(&p.ingest(req.as_bytes())[0]), 413);
+        assert_eq!(code(&p.ingest(req.as_bytes())[0]), 413);
 
         // Chunked transfer is refused, not guessed at.
         let mut p = HttpParser::new();
         let items =
             p.ingest(b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
-        assert_eq!(direct_status(&items[0]), 501);
+        assert_eq!(code(&items[0]), 501);
     }
 
     #[test]
@@ -518,34 +390,34 @@ mod tests {
         let mut p = HttpParser::new();
         let items = p.ingest(b"GET /nope HTTP/1.1\r\n\r\nDELETE /v1/jobs/3 HTTP/1.1\r\n\r\n");
         assert_eq!(items.len(), 2, "connection survives routing errors");
-        assert_eq!(direct_status(&items[0]), 404);
-        assert_eq!(direct_status(&items[1]), 405);
+        assert_eq!(code(&items[0]), 404);
+        assert_eq!(code(&items[1]), 405);
+        assert!(!items[0].close && !items[1].close);
         // Non-numeric job ids are unknown jobs, not server errors.
         let items = p.ingest(b"GET /v1/jobs/abc HTTP/1.1\r\n\r\n");
-        assert_eq!(direct_status(&items[0]), 404);
+        assert_eq!(items[0].request, Err(ServeError::unknown_job("abc")));
         // Malformed POST bodies answer 400 but keep the framing.
         let items = p.ingest(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]");
-        assert_eq!(direct_status(&items[0]), 400);
+        assert_eq!(code(&items[0]), 400);
         let items = p.ingest(b"GET /v1/metrics HTTP/1.1\r\n\r\n");
-        assert_eq!(op_line(&items[0]), r#"{"op": "metrics"}"#);
+        assert_eq!(request(&items[0]), &Request::Metrics);
     }
 
     #[test]
     fn connection_semantics_follow_version_and_header() {
         let mut p = HttpParser::new();
         let items = p.ingest(b"GET /v1/metrics HTTP/1.0\r\n\r\n");
-        assert!(matches!(items[0], HttpItem::Op { close: true, .. }), "1.0 defaults to close");
+        assert!(items[0].close, "1.0 defaults to close");
         let items = p.ingest(b"GET /v1/metrics HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
-        assert!(matches!(items[0], HttpItem::Op { close: false, .. }));
+        assert!(!items[0].close);
         let items = p.ingest(b"GET /v1/metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(matches!(items[0], HttpItem::Op { close: true, .. }));
+        assert!(items[0].close);
     }
 
     #[test]
     fn response_framing_carries_the_line_protocol_body_verbatim() {
         let response = Json::obj([("ok", Json::Bool(true)), ("jobs", Json::Arr(vec![]))]);
-        assert_eq!(status_for(&response), 200);
-        let bytes = frame_response(200, &response, false);
+        let bytes = frame_response(&Ok(response.clone()), false);
         let text = String::from_utf8(bytes).expect("ascii");
         let (head, body) = text.split_once("\r\n\r\n").expect("head/body split");
         assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
@@ -553,25 +425,10 @@ mod tests {
         assert!(head.contains("Connection: keep-alive"));
         assert_eq!(body, format!("{response}\n"), "body == line-protocol response");
 
-        let err = Json::obj([
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str("unknown job 7".to_string())),
-        ]);
-        assert_eq!(status_for(&err), 404);
-        let err = Json::obj([
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str("queue full".to_string())),
-        ]);
-        assert_eq!(status_for(&err), 400);
-    }
-
-    #[test]
-    fn direct_markers_round_trip_and_reject_plain_lines() {
-        let body = Json::obj([("ok", Json::Bool(false)), ("error", Json::Str("x\u{1}".into()))]);
-        let marker = encode_direct_marker(405, &body, true);
-        let (status, decoded, close) = decode_direct_marker(&marker).expect("round trip");
-        assert_eq!((status, close), (405, true));
-        assert_eq!(decoded, body);
-        assert_eq!(decode_direct_marker(r#"{"op": "ping"}"#), None);
+        let err = ServeError::unknown_job(7);
+        let text = String::from_utf8(frame_response(&Err(err.clone()), true)).expect("ascii");
+        assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
+        assert!(text.contains("Connection: close"));
+        assert!(text.ends_with(&format!("\r\n\r\n{}\n", err.to_json())));
     }
 }

@@ -13,15 +13,17 @@
 //! private `sys` module — still no external crates), so connection count
 //! is decoupled from thread count. The moving parts:
 //!
-//! * [`protocol`] — the wire protocol (requests, responses, defaults).
+//! * [`protocol`] — the wire protocol: typed requests, the
+//!   [`protocol::ServeError`] every refusal is, responses, defaults.
 //! * [`queue`] — the bounded priority queue with per-client fairness.
 //! * [`server`] — listeners, the epoll event loop, the worker pool, the
 //!   re-freeze cadence, retry/quarantine, drain/shutdown.
 //! * [`conn`] — the per-connection buffering state machine (partial
 //!   frames, pipelining, write-backpressure), socket-free and unit-tested.
-//! * [`http`] — the HTTP/1.1 gateway: a translation layer that maps
-//!   `POST /v1/jobs`, `GET /v1/jobs/{id}`, and `GET /v1/metrics` onto the
-//!   line-protocol ops, sharing the same event loop and 1 MiB caps.
+//! * [`http`] — the HTTP/1.1 gateway: a second framing that builds the
+//!   same typed [`protocol::Request`] from `POST /v1/jobs`,
+//!   `GET /v1/jobs/{id}`, and `GET /v1/metrics`, sharing the same event
+//!   loop, dispatch and 1 MiB caps.
 //! * [`journal`] — the `fastsim-journal/v1` write-ahead log: checksummed
 //!   submit/start/complete/abandon records with segment rotation,
 //!   compaction, and reject-don't-guess recovery.
@@ -33,11 +35,11 @@
 //! With [`server::ServeConfig::snapshot_dir`] set, the server also owns a
 //! durable [`fastsim_core::SnapshotStore`]: at boot it adopts the newest
 //! decodable snapshot of every group (so a restarted server serves its
-//! first jobs warm), and after every re-freeze it persists the fresh
-//! snapshot in the background. The `snapshot_export` / `snapshot_import`
-//! protocol verbs ship encoded snapshots between servers (fleet warmth
-//! without shared disks); `docs/snapshots.md` is the format and runbook
-//! reference.
+//! first jobs warm), and after every re-freeze that changed a group's
+//! snapshot it persists the fresh snapshot in the background. The
+//! `snapshot_export` / `snapshot_import` protocol verbs ship encoded
+//! snapshots between servers (fleet warmth without shared disks);
+//! `docs/snapshots.md` is the format and runbook reference.
 //!
 //! With [`server::ServeConfig::journal_dir`] set, submissions are also
 //! durable: every accepted job is appended to the [`journal`]

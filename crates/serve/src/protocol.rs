@@ -6,6 +6,13 @@
 //! `docs/serving.md`; this module is the single parsing point, so the
 //! document and the code agree by construction.
 //!
+//! Both framings produce the same typed values: a line parses into
+//! `Result<`[`Request`]`, `[`ServeError`]`>` here, and the HTTP gateway
+//! (`crate::http`) builds the same values from its route and body with
+//! the same field parsers. Dispatch answers with `Result<Json,
+//! ServeError>`; the error's [`ErrorKind`] alone picks the HTTP status,
+//! and both framings send its message as `{"ok": false, "error": …}`.
+//!
 //! Ops: `ping`, `submit`, `poll`, `metrics`, `drain`, `shutdown`,
 //! `snapshot_export`, `snapshot_import`.
 
@@ -77,30 +84,97 @@ pub struct SubmitSpec {
     pub chaos_panics: u32,
 }
 
+/// What kind of refusal a [`ServeError`] is. The kind alone picks the
+/// HTTP status (`crate::http` maps it); the line protocol ignores it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// A malformed or invalid request, or one the server cannot take
+    /// right now (draining, queue full).
+    BadRequest,
+    /// The request names a job or route that does not exist.
+    NotFound,
+    /// A gateway route asked for with the wrong method.
+    MethodNotAllowed,
+    /// An HTTP body over the gateway's cap.
+    BodyTooLarge,
+    /// An HTTP header section over the gateway's cap.
+    HeadTooLarge,
+    /// An HTTP feature the gateway does not implement
+    /// (`Transfer-Encoding`).
+    NotImplemented,
+    /// An HTTP version other than 1.0 and 1.1.
+    VersionNotSupported,
+}
+
+/// A refused request: the one error type parsing and dispatch return.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ServeError {
+    /// What kind of refusal this is.
+    pub kind: ErrorKind,
+    /// The `error` text both framings send.
+    pub message: String,
+}
+
+impl ServeError {
+    /// An error of the given kind.
+    pub fn new(kind: ErrorKind, message: impl Into<String>) -> ServeError {
+        ServeError { kind, message: message.into() }
+    }
+
+    /// An [`ErrorKind::BadRequest`] error.
+    pub fn bad_request(message: impl Into<String>) -> ServeError {
+        ServeError::new(ErrorKind::BadRequest, message)
+    }
+
+    /// The error for a job id that names no job.
+    pub fn unknown_job(id: impl std::fmt::Display) -> ServeError {
+        ServeError::new(ErrorKind::NotFound, format!("unknown job {id}"))
+    }
+
+    /// The error response: `{"ok": false, "error": message}`.
+    pub fn to_json(&self) -> Json {
+        Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(self.message.clone()))])
+    }
+}
+
+/// One request as a listener delivers it, parsed once on arrival.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Incoming {
+    /// The request, or why it was refused before dispatch.
+    pub request: Result<Request, ServeError>,
+    /// Close the connection after the response (HTTP `Connection:
+    /// close`, HTTP/1.0, or a framing violation; never set on the line
+    /// protocol).
+    pub close: bool,
+}
+
 impl Request {
     /// Parses one request line.
     ///
     /// # Errors
     ///
-    /// Returns a message suitable for an error response if the line is not
-    /// valid JSON, has no/unknown `op`, or a `submit`/`poll` body is
-    /// malformed.
-    pub fn parse(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+    /// A [`ErrorKind::BadRequest`] error if the line is not a JSON
+    /// object, has no/unknown `op`, or a `submit`/`poll` body is
+    /// malformed; [`ErrorKind::NotFound`] for a `poll` whose `job` is
+    /// text that is not a number.
+    pub fn parse(line: &str) -> Result<Request, ServeError> {
+        let v = parse_body(line)?;
         let op = v
             .get("op")
             .and_then(Json::as_str)
-            .ok_or_else(|| "missing string member `op`".to_string())?;
+            .ok_or_else(|| ServeError::bad_request("missing string member `op`"))?;
         match op {
             "ping" => Ok(Request::Ping),
             "metrics" => Ok(Request::Metrics),
             "drain" => Ok(Request::Drain),
             "shutdown" => Ok(Request::Shutdown),
             "poll" => {
-                let job = v
-                    .get("job")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| "poll: missing integer member `job`".to_string())?;
+                let job = match v.get("job") {
+                    Some(Json::Str(id)) => parse_job_id(id)?,
+                    other => other.and_then(Json::as_u64).ok_or_else(|| {
+                        ServeError::bad_request("poll: missing integer member `job`")
+                    })?,
+                };
                 Ok(Request::Poll { job })
             }
             "submit" => Ok(Request::Submit(SubmitSpec::from_json(&v)?)),
@@ -109,9 +183,9 @@ impl Request {
                     None | Some(Json::Null) => None,
                     Some(Json::Str(s)) => Some(parse_group(s)?),
                     Some(_) => {
-                        return Err(
-                            "snapshot_export: `group` must be a hex fingerprint string".to_string()
-                        )
+                        return Err(ServeError::bad_request(
+                            "snapshot_export: `group` must be a hex fingerprint string",
+                        ))
                     }
                 };
                 Ok(Request::SnapshotExport { group })
@@ -122,65 +196,84 @@ impl Request {
                     .and_then(Json::as_str)
                     .filter(|s| !s.is_empty())
                     .ok_or_else(|| {
-                        "snapshot_import: missing non-empty string member `data`".to_string()
+                        ServeError::bad_request(
+                            "snapshot_import: missing non-empty string member `data`",
+                        )
                     })?
                     .to_string();
                 Ok(Request::SnapshotImport { data })
             }
-            other => Err(format!("unknown op `{other}`")),
+            other => Err(ServeError::bad_request(format!("unknown op `{other}`"))),
         }
     }
 }
 
+/// Parses the JSON text of a request — a whole line, or an HTTP body —
+/// with the one error message both framings send for malformed JSON.
+pub(crate) fn parse_body(text: &str) -> Result<Json, ServeError> {
+    Json::parse(text).map_err(|e| ServeError::bad_request(format!("request body: {e}")))
+}
+
+/// Parses a job id given as decimal text (the gateway's path segment, or
+/// a string `job` member): text that is not a number names no job.
+pub(crate) fn parse_job_id(text: &str) -> Result<u64, ServeError> {
+    text.parse().map_err(|_| ServeError::unknown_job(text))
+}
+
 impl SubmitSpec {
-    fn from_json(v: &Json) -> Result<SubmitSpec, String> {
+    /// The submission a JSON object describes (its `op` member, if any,
+    /// is ignored).
+    pub(crate) fn from_json(v: &Json) -> Result<SubmitSpec, ServeError> {
+        let bad = ServeError::bad_request;
         let kernels = match v.get("kernels") {
             Some(Json::Arr(items)) if !items.is_empty() => items
                 .iter()
                 .map(|k| {
                     k.as_str()
                         .map(str::to_string)
-                        .ok_or_else(|| "submit: `kernels` must hold strings".to_string())
+                        .ok_or_else(|| bad("submit: `kernels` must hold strings"))
                 })
-                .collect::<Result<Vec<String>, String>>()?,
-            _ => return Err("submit: missing non-empty array member `kernels`".to_string()),
+                .collect::<Result<Vec<String>, ServeError>>()?,
+            _ => return Err(bad("submit: missing non-empty array member `kernels`")),
         };
         let insts = v
             .get("insts")
             .and_then(Json::as_u64)
-            .ok_or_else(|| "submit: missing integer member `insts`".to_string())?;
+            .ok_or_else(|| bad("submit: missing integer member `insts`"))?;
         if insts == 0 {
-            return Err("submit: `insts` must be positive".to_string());
+            return Err(bad("submit: `insts` must be positive"));
         }
-        let u64_field = |key: &str, default: u64| -> Result<u64, String> {
+        let u64_field = |key: &str, default: u64| -> Result<u64, ServeError> {
             match v.get(key) {
                 None | Some(Json::Null) => Ok(default),
-                Some(j) => j.as_u64().ok_or_else(|| format!("submit: `{key}` must be an integer")),
+                Some(j) => j.as_u64().ok_or_else(|| {
+                    ServeError::bad_request(format!("submit: `{key}` must be an integer"))
+                }),
             }
         };
         let hierarchy = match v.get("hierarchy") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => return Err("submit: `hierarchy` must be a string".to_string()),
+            Some(_) => return Err(bad("submit: `hierarchy` must be a string")),
         };
         let client = match v.get("client") {
             None | Some(Json::Null) => "anonymous".to_string(),
             Some(Json::Str(s)) if !s.is_empty() => s.clone(),
-            Some(_) => return Err("submit: `client` must be a non-empty string".to_string()),
+            Some(_) => return Err(bad("submit: `client` must be a non-empty string")),
         };
         let timeout_ms = match v.get("timeout_ms") {
             None | Some(Json::Null) => None,
             Some(j) => Some(
                 j.as_u64()
                     .filter(|&t| t > 0)
-                    .ok_or_else(|| "submit: `timeout_ms` must be a positive integer".to_string())?,
+                    .ok_or_else(|| bad("submit: `timeout_ms` must be a positive integer"))?,
             ),
         };
         let wait = match v.get("wait") {
-            None | Some(Json::Null) => Ok(false),
-            Some(Json::Bool(b)) => Ok(*b),
-            Some(_) => Err("submit: `wait` must be a boolean".to_string()),
-        }?;
+            None | Some(Json::Null) => false,
+            Some(Json::Bool(b)) => *b,
+            Some(_) => return Err(bad("submit: `wait` must be a boolean")),
+        };
         Ok(SubmitSpec {
             kernels,
             insts,
@@ -198,13 +291,13 @@ impl SubmitSpec {
 
 /// Parses a group fingerprint given as hex digits (the format metrics
 /// dumps and `snapshot_export` listings use).
-fn parse_group(text: &str) -> Result<u64, String> {
+fn parse_group(text: &str) -> Result<u64, ServeError> {
     let digits = text.strip_prefix("0x").unwrap_or(text);
+    let bad = || ServeError::bad_request(format!("snapshot_export: `group` `{text}` is not a hex fingerprint"));
     if digits.is_empty() || digits.len() > 16 {
-        return Err(format!("snapshot_export: `group` `{text}` is not a hex fingerprint"));
+        return Err(bad());
     }
-    u64::from_str_radix(digits, 16)
-        .map_err(|_| format!("snapshot_export: `group` `{text}` is not a hex fingerprint"))
+    u64::from_str_radix(digits, 16).map_err(|_| bad())
 }
 
 /// A success response carrying the given members besides `"ok": true`.
@@ -214,12 +307,13 @@ pub fn ok_response(members: impl IntoIterator<Item = (&'static str, Json)>) -> J
     Json::Obj(pairs)
 }
 
-/// An error response: `{"ok": false, "error": message}`.
-pub fn err_response(message: impl Into<String>) -> Json {
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str(message.into())),
-    ])
+/// A response as the line protocol sends it, and as the HTTP gateway's
+/// body carries it: one JSON object and a newline.
+pub(crate) fn response_line(response: &Result<Json, ServeError>) -> String {
+    match response {
+        Ok(v) => format!("{v}\n"),
+        Err(e) => format!("{}\n", e.to_json()),
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +327,13 @@ mod tests {
         assert_eq!(Request::parse(r#"{"op": "drain"}"#).unwrap(), Request::Drain);
         assert_eq!(Request::parse(r#"{"op": "shutdown"}"#).unwrap(), Request::Shutdown);
         assert_eq!(Request::parse(r#"{"op": "poll", "job": 7}"#).unwrap(), Request::Poll { job: 7 });
+        // Decimal text is the id the gateway's path carries; other text
+        // names no job.
+        assert_eq!(Request::parse(r#"{"op": "poll", "job": "7"}"#).unwrap(), Request::Poll { job: 7 });
+        assert_eq!(
+            Request::parse(r#"{"op": "poll", "job": "abc"}"#),
+            Err(ServeError::unknown_job("abc"))
+        );
     }
 
     #[test]
@@ -307,6 +408,9 @@ mod tests {
             ok_response([("jobs", Json::Arr(vec![Json::from(1u64)]))]).to_string(),
             r#"{"ok": true, "jobs": [1]}"#
         );
-        assert_eq!(err_response("queue full").to_string(), r#"{"ok": false, "error": "queue full"}"#);
+        let err = ServeError::bad_request("queue full");
+        assert_eq!(err.to_json().to_string(), r#"{"ok": false, "error": "queue full"}"#);
+        assert_eq!(err.kind, ErrorKind::BadRequest);
+        assert_eq!(ServeError::unknown_job(7).kind, ErrorKind::NotFound);
     }
 }

@@ -38,9 +38,10 @@
 //! execution ([`fastsim_core::run_single`]). On success the delta is
 //! merged into the group's master and, every
 //! [`ServeConfig::refreeze_every`] merges, the master is re-frozen so
-//! later jobs start warmer (with [`ServeConfig::snapshot_dir`] set, the
-//! fresh snapshot is also persisted to the durable store once the
-//! scheduler lock is released, so the warmth survives a restart). On
+//! later jobs start warmer (with [`ServeConfig::snapshot_dir`] set, a
+//! fresh snapshot that differs from the group's last one is also
+//! persisted to the durable store once the scheduler lock is released,
+//! so the warmth survives a restart). On
 //! panic the job is parked with exponential
 //! backoff and retried, up to [`ServeConfig::max_attempts`] attempts, then
 //! quarantined — failed attempts merge nothing, so they cannot poison the
@@ -51,14 +52,25 @@
 //! `drain` stops admissions and answers once every admitted job settles;
 //! `shutdown` drains, stops the workers and the loop, and the handle's
 //! [`ServerHandle::wait`] returns the final metrics dump.
+//!
+//! ## The fault seam
+//!
+//! Fault injection is not part of the server. [`Server::start`] runs with
+//! no faults; a test harness passes a [`Faults`] implementation to
+//! [`Server::start_with_faults`], and the server consults it at the two
+//! boundaries where real failures enter: as a framed response is about to
+//! be queued ([`Faults::response`]) and as a job attempt is about to run
+//! ([`Faults::attempt_panics`]). The seeded implementation lives in
+//! `fastsim_fuzz::chaos`.
 
+use crate::client::Stream;
 use crate::conn::{ConnBuf, Ingest};
-use crate::http::{HttpItem, HttpState};
+use crate::http::HttpParser;
 use crate::journal::{JournalRecord, SubmitRecord};
 use crate::json::Json;
-use crate::protocol::{err_response, ok_response, Request, SubmitSpec};
+use crate::protocol::{ok_response, Incoming, Request, ServeError, SubmitSpec};
 use crate::state::{
-    Completion, Core, GroupCtl, JobRecord, JobStatus, ResponsePlan, ServerState, WaitKind, Waiter,
+    Completion, Core, GroupCtl, JobRecord, JobStatus, ServerState, WaitKind, Waiter,
 };
 use crate::sys::{
     set_nonblocking, wake_pipe, Epoll, EpollEvent, WakeReader, EPOLLERR, EPOLLHUP, EPOLLIN,
@@ -69,11 +81,11 @@ use fastsim_core::{
 };
 use fastsim_workloads::Manifest;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Read;
+use std::net::TcpListener;
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixListener;
+use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -113,8 +125,6 @@ pub struct ServeConfig {
     /// a restart replays unfinished jobs in original admission order —
     /// see [`crate::journal`].
     pub journal_dir: Option<PathBuf>,
-    /// Server-side fault injection (`None`: no chaos — production mode).
-    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for ServeConfig {
@@ -129,7 +139,6 @@ impl Default for ServeConfig {
             max_conns: 16_384,
             snapshot_dir: None,
             journal_dir: None,
-            chaos: None,
         }
     }
 }
@@ -138,35 +147,30 @@ impl Default for ServeConfig {
 /// pruned (the newest generation is never deleted, whatever this says).
 const SNAPSHOT_KEEP_GENERATIONS: usize = 4;
 
-/// Seeded server-side fault injection for chaos testing.
-///
-/// Every fault decision is a roll of one deterministic [`fastsim_prng`]
-/// stream (thread interleaving still varies which *request* gets which
-/// roll, but fault density is reproducible). Rates are per-mille (‰):
-/// `150` means 15 % of rolls fire. Faults only ever affect transport and
-/// worker attempts — never admitted state or the shared caches — so every
-/// invariant the serving runbook promises must survive any chaos rate.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Seed of the fault-decision stream.
-    pub seed: u64,
-    /// Per-mille chance a response line is silently dropped (connection
-    /// closed without answering).
-    pub drop_per_mille: u32,
-    /// Per-mille chance a response line is truncated mid-line (partial
-    /// bytes, no trailing newline, then the connection closes).
-    pub truncate_per_mille: u32,
-    /// Per-mille chance a worker attempt panics mid-job (on top of any
-    /// per-job `chaos_panics` the client requested).
-    pub panic_per_mille: u32,
+/// What happens to one framed response at the fault seam.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ResponseFault {
+    /// Queue the whole response (the only outcome without a [`Faults`]).
+    Deliver,
+    /// Close the connection without writing anything.
+    Drop,
+    /// Queue the first half of the response, then close.
+    Truncate,
 }
 
-impl ChaosConfig {
-    /// A moderate default storm: 15 % drops, 10 % truncations, 10 %
-    /// worker panics.
-    pub fn moderate(seed: u64) -> ChaosConfig {
-        ChaosConfig { seed, drop_per_mille: 150, truncate_per_mille: 100, panic_per_mille: 100 }
-    }
+/// The fault seam: where a test harness injects failures into an
+/// otherwise unmodified server (see the [module docs](self)). Faults only
+/// ever reach transport and worker attempts — never admitted state or the
+/// shared caches.
+pub trait Faults: Send + Sync {
+    /// Called as a framed response is about to be queued. Responses that
+    /// close the connection (`shutdown`, `Connection: close`, framing
+    /// violations) always go out and never reach the seam.
+    fn response(&self) -> ResponseFault;
+
+    /// Called as a job attempt is about to run; `true` makes the attempt
+    /// panic inside the worker (on top of any per-job `chaos_panics`).
+    fn attempt_panics(&self) -> bool;
 }
 
 /// What the server listens on.
@@ -245,14 +249,6 @@ impl ServerHandle {
         self.http_addr
     }
 
-    /// Stops fault injection (a no-op on a server without
-    /// [`ServeConfig::chaos`]). Quiescing is how a chaos harness switches
-    /// from "survive the storm" to "verify clean behavior": the chaos
-    /// counters and the final metrics dump keep the storm's evidence.
-    pub fn quiesce_chaos(&self) {
-        self.state.set_chaos_enabled(false);
-    }
-
     /// Connections open right now (the event loop's gauge).
     pub fn open_connections(&self) -> u64 {
         self.state.metrics.open_connections()
@@ -289,14 +285,7 @@ impl ServerHandle {
         }
         self.state.work.notify_all();
         self.state.waker.wake();
-        for t in self.threads {
-            let _ = t.join();
-        }
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
-        }
-        let core = self.state.core.lock().unwrap();
-        dump_metrics(&self.state, &core)
+        self.wait()
     }
 
     /// Blocks until the server stops (a client sent `shutdown`), joins the
@@ -321,9 +310,26 @@ impl Server {
     /// Starts a server on the given listeners (at least one) and returns
     /// its handle immediately.
     pub fn start(cfg: ServeConfig, listeners: Vec<Listener>) -> ServerHandle {
+        Server::spawn(cfg, listeners, None)
+    }
+
+    /// Like [`Server::start`], with `faults` consulted at the fault seam.
+    pub fn start_with_faults(
+        cfg: ServeConfig,
+        listeners: Vec<Listener>,
+        faults: Arc<dyn Faults>,
+    ) -> ServerHandle {
+        Server::spawn(cfg, listeners, Some(faults))
+    }
+
+    fn spawn(
+        cfg: ServeConfig,
+        listeners: Vec<Listener>,
+        faults: Option<Arc<dyn Faults>>,
+    ) -> ServerHandle {
         assert!(!listeners.is_empty(), "a server needs at least one listener");
         let (wake_reader, waker) = wake_pipe().expect("wake pipe");
-        let state = Arc::new(ServerState::new(cfg, waker));
+        let state = Arc::new(ServerState::new(cfg, waker, faults));
         let mut threads = Vec::new();
         for w in 0..state.cfg.workers.max(1) {
             let state = Arc::clone(&state);
@@ -385,70 +391,25 @@ const TOKEN_CONN0: u64 = 8;
 /// slow readers before closing them anyway.
 const SHUTDOWN_LINGER: Duration = Duration::from_secs(5);
 
-/// A client socket of either family, nonblocking.
-enum ConnStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl ConnStream {
-    fn fd(&self) -> RawFd {
-        match self {
-            ConnStream::Tcp(s) => s.as_raw_fd(),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.as_raw_fd(),
-        }
-    }
-}
-
-impl Read for ConnStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ConnStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ConnStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// One registered connection: its socket, buffers, and readiness
 /// bookkeeping.
 struct Conn {
-    stream: ConnStream,
+    stream: Stream,
     buf: ConnBuf,
     /// Interest set currently registered with epoll.
     interest: u32,
     /// Peer closed its writing half (half-open): no more requests will
     /// arrive, but queued/deferred responses still get delivered.
     eof: bool,
-    /// `Some` on gateway connections: the HTTP parser and per-request
-    /// close flags. `None` means the line protocol.
-    http: Option<HttpState>,
+    /// `Some` on gateway connections: the HTTP request parser. `None`
+    /// means the line protocol.
+    http: Option<HttpParser>,
 }
 
-/// What handling one request line produces.
+/// What handling one request produces.
 enum Outcome {
     /// Answer now.
-    Reply(Json),
+    Reply(Result<Json, ServeError>),
     /// Answer now and close the connection after the flush (shutdown).
     ReplyClose(Json),
     /// A waiter was registered; the response arrives as a
@@ -542,30 +503,20 @@ impl EventLoop {
     /// would re-arm the (level-triggered) listener forever.
     fn accept_ready(&mut self, token: u64) {
         loop {
-            let stream = match token {
-                TOKEN_TCP => match self.tcp.as_ref().map(|l| l.accept()) {
-                    Some(Ok((s, _))) => ConnStream::Tcp(s),
-                    Some(Err(e)) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                    _ => return,
-                },
-                TOKEN_HTTP => match self.http.as_ref().map(|l| l.accept()) {
-                    Some(Ok((s, _))) => ConnStream::Tcp(s),
-                    Some(Err(e)) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                    _ => return,
-                },
-                _ => match self.unix.as_ref().map(|l| l.accept()) {
-                    Some(Ok((s, _))) => ConnStream::Unix(s),
-                    Some(Err(e)) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                    _ => return,
-                },
+            let accepted = match token {
+                TOKEN_TCP => self.tcp.as_ref().map(|l| l.accept().map(|(s, _)| Stream::Tcp(s))),
+                TOKEN_HTTP => self.http.as_ref().map(|l| l.accept().map(|(s, _)| Stream::Tcp(s))),
+                _ => self.unix.as_ref().map(|l| l.accept().map(|(s, _)| Stream::Unix(s))),
             };
+            // `EAGAIN` (drained) or a failed accept: wait for readiness.
+            let Some(Ok(stream)) = accepted else { return };
             if self.conns.len() >= self.state.cfg.max_conns {
                 continue; // drop(stream) closes it
             }
             if set_nonblocking(stream.fd()).is_err() {
                 continue;
             }
-            let http = (token == TOKEN_HTTP).then(HttpState::new);
+            let http = (token == TOKEN_HTTP).then(HttpParser::new);
             let token = self.next_token;
             self.next_token += 1;
             let interest = EPOLLIN | EPOLLRDHUP;
@@ -622,9 +573,8 @@ impl EventLoop {
                 }
             };
             if let Some(http) = &mut conn.http {
-                let items = http.parser.ingest(&tmp[..n]);
-                for item in items {
-                    self.process_http_item(token, item);
+                for incoming in http.ingest(&tmp[..n]) {
+                    self.process(token, incoming);
                 }
                 continue;
             }
@@ -632,115 +582,65 @@ impl EventLoop {
                 Ingest::Lines(lines) => (lines, false),
                 Ingest::Oversized(lines) => (lines, true),
             };
-            for line in lines {
-                self.process_line(token, line);
+            for line in lines.iter().filter(|l| !l.trim().is_empty()) {
+                let request = Request::parse(line.trim());
+                self.process(token, Incoming { request, close: false });
             }
             if oversized {
                 // Answer the violation, then hang up once it flushes.
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    let msg = err_response(format!(
-                        "request line exceeds {} bytes",
-                        crate::conn::MAX_LINE
-                    ));
-                    conn.buf.queue(format!("{msg}\n").as_bytes());
-                    conn.buf.close_after_flush();
-                }
-                self.flush(token);
+                let msg = format!("request line exceeds {} bytes", crate::conn::MAX_LINE);
+                self.respond(token, Err(ServeError::bad_request(msg)), true);
                 return;
             }
         }
     }
 
-    /// Handles one parsed HTTP request. Translated ops flow through the
-    /// same [`EventLoop::process_line`] path as line-protocol requests
-    /// (their close flag queues for the response framer); direct answers
-    /// go out immediately — or, when the connection is blocked on an
-    /// earlier deferred op, park in the deferred-line queue as a NUL
-    /// marker so responses stay FIFO.
-    fn process_http_item(&mut self, token: u64, item: HttpItem) {
-        match item {
-            HttpItem::Op { line, close } => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    if let Some(http) = &mut conn.http {
-                        http.close_flags.push_back(close);
-                    }
-                }
-                self.process_line(token, line);
-            }
-            HttpItem::Direct { status, body, close } => {
-                let Some(conn) = self.conns.get_mut(&token) else { return };
-                if conn.buf.blocked() {
-                    conn.buf.defer_line(crate::http::encode_direct_marker(status, &body, close));
-                    return;
-                }
-                self.queue_framed(token, crate::http::frame_response(status, &body, close), close);
-            }
-        }
-    }
-
-    /// Handles one complete request line (or parks it behind an
-    /// outstanding deferred response, keeping responses FIFO). On gateway
-    /// connections the line is either a translated op or a parked direct
-    /// answer (NUL marker) replayed from the deferred queue.
-    fn process_line(&mut self, token: u64, line: String) {
-        if line.trim().is_empty() {
+    /// Handles one parsed request of either framing — or parks it behind
+    /// an outstanding deferred response, keeping responses FIFO.
+    fn process(&mut self, token: u64, incoming: Incoming) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if conn.buf.blocked() {
+            conn.buf.defer(incoming);
             return;
         }
-        {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            if conn.buf.blocked() {
-                conn.buf.defer_line(line);
-                return;
-            }
-        }
-        if let Some((status, body, close)) = crate::http::decode_direct_marker(&line) {
-            self.queue_framed(token, crate::http::frame_response(status, &body, close), close);
-            return;
-        }
-        match handle_request(&self.state, token, &line) {
-            Outcome::Reply(response) => self.queue_response(token, &response, false),
-            Outcome::ReplyClose(response) => self.queue_response(token, &response, true),
+        let outcome = match incoming.request {
+            Ok(request) => handle_request(&self.state, token, request),
+            Err(e) => Outcome::Reply(Err(e)),
+        };
+        match outcome {
+            Outcome::Reply(response) => self.respond(token, response, incoming.close),
+            Outcome::ReplyClose(response) => self.respond(token, Ok(response), true),
             Outcome::Deferred => {
                 if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.buf.set_blocked(true);
+                    conn.buf.block(incoming.close);
                 }
             }
         }
     }
 
-    /// Frames one op response for the connection's protocol — a bare
-    /// line, or an HTTP response whose body *is* that line (the status
-    /// derived from `ok`/`error`, the `Connection` header from the
-    /// request's queued close flag) — and queues it.
-    fn queue_response(&mut self, token: u64, response: &Json, close: bool) {
-        let (framed, close) = {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            match &mut conn.http {
-                Some(http) => {
-                    let close = close | http.close_flags.pop_front().unwrap_or(false);
-                    let status = crate::http::status_for(response);
-                    (crate::http::frame_response(status, response, close), close)
-                }
-                None => (format!("{response}\n").into_bytes(), close),
-            }
+    /// Frames one response for the connection's protocol — a bare line,
+    /// or an HTTP response whose body *is* that line — and queues it,
+    /// passing it through the fault seam unless it closes the connection
+    /// (a `shutdown` answer must arrive: the server is stopping, so a
+    /// retry could never reconnect to learn the outcome). Then flushes
+    /// what the socket will take.
+    fn respond(&mut self, token: u64, response: Result<Json, ServeError>, close: bool) {
+        let fault = match &self.state.faults {
+            Some(faults) if !close => faults.response(),
+            _ => ResponseFault::Deliver,
         };
-        self.queue_framed(token, framed, close);
-    }
-
-    /// Queues framed response bytes, applying transport chaos (a closing
-    /// response — `shutdown` — is always delivered: the server is
-    /// stopping, so a retry could never reconnect to learn the outcome),
-    /// then flushes what the socket will take.
-    fn queue_framed(&mut self, token: u64, framed: Vec<u8>, close: bool) {
-        let plan = if close { ResponsePlan::Deliver } else { self.state.chaos_response_plan() };
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        match plan {
-            ResponsePlan::Deliver => conn.buf.queue(&framed),
-            ResponsePlan::Drop => {
+        let framed = match &conn.http {
+            Some(_) => crate::http::frame_response(&response, close),
+            None => crate::protocol::response_line(&response).into_bytes(),
+        };
+        match fault {
+            ResponseFault::Deliver => conn.buf.queue(&framed),
+            ResponseFault::Drop => {
                 self.close_conn(token);
                 return;
             }
-            ResponsePlan::Truncate => {
+            ResponseFault::Truncate => {
                 conn.buf.queue(&framed[..framed.len() / 2]);
                 conn.buf.close_after_flush();
             }
@@ -760,8 +660,8 @@ impl EventLoop {
         };
         for Completion { conn: token, response, close } in completions {
             let Some(conn) = self.conns.get_mut(&token) else { continue };
-            conn.buf.set_blocked(false);
-            self.queue_response(token, &response, close);
+            let close = conn.buf.unblock() | close;
+            self.respond(token, Ok(response), close);
             // Requests pipelined behind the deferred one now get served,
             // until one of them defers again.
             loop {
@@ -770,7 +670,7 @@ impl EventLoop {
                     _ => None,
                 };
                 match next {
-                    Some(line) => self.process_line(token, line),
+                    Some(incoming) => self.process(token, incoming),
                     None => break,
                 }
             }
@@ -854,22 +754,21 @@ impl EventLoop {
     }
 }
 
-/// Parses and executes one request line; quick ops answer inline, the
-/// formerly-blocking ops register waiters.
-fn handle_request(state: &Arc<ServerState>, token: u64, line: &str) -> Outcome {
-    match Request::parse(line.trim()) {
-        Err(msg) => Outcome::Reply(err_response(msg)),
-        Ok(Request::Ping) => Outcome::Reply(ok_response([("pong", Json::Bool(true))])),
-        Ok(Request::Metrics) => {
+/// Executes one request; quick ops answer inline, the formerly-blocking
+/// ops register waiters.
+fn handle_request(state: &Arc<ServerState>, token: u64, request: Request) -> Outcome {
+    match request {
+        Request::Ping => Outcome::Reply(Ok(ok_response([("pong", Json::Bool(true))]))),
+        Request::Metrics => {
             let core = state.core.lock().unwrap();
-            Outcome::Reply(ok_response([("metrics", dump_metrics(state, &core))]))
+            Outcome::Reply(Ok(ok_response([("metrics", dump_metrics(state, &core))])))
         }
-        Ok(Request::Poll { job }) => Outcome::Reply(handle_poll(state, job)),
-        Ok(Request::Submit(spec)) => handle_submit(state, token, &spec),
-        Ok(Request::Drain) => handle_drain(state, token),
-        Ok(Request::Shutdown) => handle_shutdown(state, token),
-        Ok(Request::SnapshotExport { group }) => Outcome::Reply(handle_snapshot_export(state, group)),
-        Ok(Request::SnapshotImport { data }) => Outcome::Reply(handle_snapshot_import(state, &data)),
+        Request::Poll { job } => Outcome::Reply(handle_poll(state, job)),
+        Request::Submit(spec) => handle_submit(state, token, &spec),
+        Request::Drain => handle_drain(state, token),
+        Request::Shutdown => handle_shutdown(state, token),
+        Request::SnapshotExport { group } => Outcome::Reply(handle_snapshot_export(state, group)),
+        Request::SnapshotImport { data } => Outcome::Reply(handle_snapshot_import(state, &data)),
     }
 }
 
@@ -890,9 +789,6 @@ fn dump_metrics(state: &ServerState, core: &Core) -> Json {
             if state.cfg.journal_dir.is_some() {
                 pairs.push(("journal".to_string(), state.metrics.journal_json()));
             }
-            if let Some(chaos) = state.chaos_json() {
-                pairs.push(("chaos".to_string(), chaos));
-            }
             Json::Obj(pairs)
         }
         other => other,
@@ -903,72 +799,64 @@ fn dump_metrics(state: &ServerState, core: &Core) -> Json {
 /// base64 of the `fastsim-snapshot/v1` bytes (or, with no group, lists
 /// the exportable groups). The snapshot Arc is cloned under the lock and
 /// encoded after releasing it.
-fn handle_snapshot_export(state: &Arc<ServerState>, group: Option<u64>) -> Json {
+fn handle_snapshot_export(
+    state: &Arc<ServerState>,
+    group: Option<u64>,
+) -> Result<Json, ServeError> {
     let core = state.core.lock().unwrap();
     let Some(fingerprint) = group else {
         let mut groups: Vec<u64> = core.groups.keys().copied().collect();
         groups.sort_unstable();
-        return ok_response([(
+        return Ok(ok_response([(
             "groups",
             Json::Arr(groups.iter().map(|fp| Json::Str(format!("{fp:016x}"))).collect()),
-        )]);
+        )]));
     };
     let Some(ctl) = core.groups.get(&fingerprint) else {
-        return err_response(format!("unknown group {fingerprint:016x}"));
+        return Err(ServeError::bad_request(format!("unknown group {fingerprint:016x}")));
     };
     let snapshot = ctl.snapshot.clone();
     drop(core);
     let bytes = snapshot.encode();
-    ok_response([
+    Ok(ok_response([
         ("group", Json::Str(format!("{fingerprint:016x}"))),
         ("bytes", Json::from(bytes.len() as u64)),
         ("data", Json::Str(crate::b64::encode(&bytes))),
-    ])
+    ]))
 }
 
 /// `snapshot_import`: strict-decodes an encoded snapshot and merges it
 /// into the matching group's master (adopting it wholesale when the
 /// server has never seen the configuration). The group's frozen snapshot
 /// is refreshed immediately — the next job of the group thaws the
-/// imported warmth — and the merged result is persisted when a store is
-/// configured, so the shipped warmth survives a restart.
-fn handle_snapshot_import(state: &Arc<ServerState>, data: &str) -> Json {
-    let bytes = match crate::b64::decode(data) {
-        Ok(bytes) => bytes,
-        Err(msg) => {
-            state.metrics.snapshot_rejected(1);
-            return err_response(format!("snapshot_import: {msg}"));
-        }
+/// imported warmth — and, when the import changed it, the group's
+/// snapshot is persisted when a store is configured, so the shipped
+/// warmth survives a restart.
+fn handle_snapshot_import(state: &Arc<ServerState>, data: &str) -> Result<Json, ServeError> {
+    let rejected = |msg: String| {
+        state.metrics.snapshot_rejected(1);
+        ServeError::bad_request(format!("snapshot_import: {msg}"))
     };
-    let snapshot = match WarmCacheSnapshot::decode(&bytes, None) {
-        Ok(snapshot) => snapshot,
-        Err(e) => {
-            state.metrics.snapshot_rejected(1);
-            return err_response(format!("snapshot_import: rejected: {e}"));
-        }
-    };
+    let bytes = crate::b64::decode(data).map_err(rejected)?;
+    let snapshot = WarmCacheSnapshot::decode(&bytes, None)
+        .map_err(|e| rejected(format!("rejected: {e}")))?;
     let fingerprint = snapshot.fingerprint();
     let mut core = state.core.lock().unwrap();
     let merge = core.driver.import_snapshot(&snapshot);
     let fresh =
         core.driver.current_snapshot(fingerprint).expect("import ensured the group's master");
-    match core.groups.get_mut(&fingerprint) {
-        Some(ctl) => ctl.snapshot = fresh.clone(),
+    let changed = match core.groups.get_mut(&fingerprint) {
+        Some(ctl) => replace_snapshot(ctl, &fresh),
         None => {
-            core.groups.insert(
-                fingerprint,
-                GroupCtl {
-                    snapshot: fresh.clone(),
-                    deltas_since_freeze: 0,
-                    hits_window: 0,
-                    lookups_window: 0,
-                },
-            );
+            core.groups.insert(fingerprint, GroupCtl::new(fresh.clone()));
+            true
         }
-    }
+    };
     drop(core);
     state.metrics.snapshot_loaded(bytes.len() as u64, 0);
-    persist_snapshot(state, &fresh);
+    if changed {
+        persist_snapshot(state, &fresh);
+    }
     let mut members = vec![
         ("group", Json::Str(format!("{fingerprint:016x}"))),
         ("adopted", Json::Bool(merge.is_none())),
@@ -983,7 +871,17 @@ fn handle_snapshot_import(state: &Arc<ServerState>, data: &str) -> Json {
             ]),
         ));
     }
-    ok_response(members)
+    Ok(ok_response(members))
+}
+
+/// Installs `fresh` as the group's current snapshot; `false` when it is
+/// the snapshot the group already had (a re-freeze with nothing new
+/// merged hands back the same frozen cache), so there is nothing to
+/// persist.
+fn replace_snapshot(ctl: &mut GroupCtl, fresh: &WarmCacheSnapshot) -> bool {
+    let changed = !std::ptr::eq(ctl.snapshot.cache(), fresh.cache());
+    ctl.snapshot = fresh.clone();
+    changed
 }
 
 /// Appends records to the journal and fsyncs (a no-op without one),
@@ -1032,12 +930,10 @@ fn persist_snapshot(state: &ServerState, snapshot: &WarmCacheSnapshot) {
     }
 }
 
-fn handle_poll(state: &Arc<ServerState>, job: u64) -> Json {
+fn handle_poll(state: &Arc<ServerState>, job: u64) -> Result<Json, ServeError> {
     let core = state.core.lock().unwrap();
-    match core.jobs.get(&job) {
-        None => err_response(format!("unknown job {job}")),
-        Some(record) => ok_response([("job", job_json(record))]),
-    }
+    let record = core.jobs.get(&job).ok_or_else(|| ServeError::unknown_job(job))?;
+    Ok(ok_response([("job", job_json(record))]))
 }
 
 /// A job's wire representation. Settled jobs carry their result or error;
@@ -1131,9 +1027,10 @@ fn expand_submit(spec: &SubmitSpec) -> Result<Vec<ExpandedJob>, String> {
 }
 
 fn handle_submit(state: &Arc<ServerState>, token: u64, spec: &SubmitSpec) -> Outcome {
+    let refuse = |msg: String| Outcome::Reply(Err(ServeError::bad_request(msg)));
     let jobs = match expand_submit(spec) {
         Ok(jobs) => jobs,
-        Err(msg) => return Outcome::Reply(err_response(msg)),
+        Err(msg) => return refuse(msg),
     };
     let timeout = spec
         .timeout_ms
@@ -1142,18 +1039,18 @@ fn handle_submit(state: &Arc<ServerState>, token: u64, spec: &SubmitSpec) -> Out
 
     let mut core = state.core.lock().unwrap();
     if core.draining || core.stop {
-        return Outcome::Reply(err_response("server is draining; not accepting jobs"));
+        return refuse("server is draining; not accepting jobs".to_string());
     }
     // All-or-nothing admission: a half-admitted submission would make
     // `wait` block on jobs that were never queued.
     if core.queue.available() < jobs.len() {
         state.metrics.rejected(jobs.len() as u64);
-        return Outcome::Reply(err_response(format!(
+        return refuse(format!(
             "queue full: {} jobs requested, {} slots free (capacity {})",
             jobs.len(),
             core.queue.available(),
             state.cfg.queue_capacity
-        )));
+        ));
     }
     let mut ids = Vec::with_capacity(jobs.len());
     let mut journaled = Vec::with_capacity(jobs.len());
@@ -1191,10 +1088,10 @@ fn handle_submit(state: &Arc<ServerState>, token: u64, spec: &SubmitSpec) -> Out
     state.work.notify_all();
 
     if !spec.wait {
-        return Outcome::Reply(ok_response([(
+        return Outcome::Reply(Ok(ok_response([(
             "jobs",
             Json::Arr(ids.iter().map(|&id| Json::from(id)).collect()),
-        )]));
+        )])));
     }
     // The response arrives as a Completion once every job settles; the
     // connection blocks (FIFO responses) but the I/O thread does not.
@@ -1206,10 +1103,10 @@ fn handle_drain(state: &Arc<ServerState>, token: u64) -> Outcome {
     let mut core = state.core.lock().unwrap();
     core.draining = true;
     if core.drained() {
-        return Outcome::Reply(ok_response([
+        return Outcome::Reply(Ok(ok_response([
             ("drained", Json::Bool(true)),
             ("metrics", dump_metrics(state, &core)),
-        ]));
+        ])));
     }
     core.waiters.push(Waiter { conn: token, kind: WaitKind::Drain });
     Outcome::Deferred
@@ -1290,7 +1187,7 @@ fn worker_loop(state: &Arc<ServerState>) {
     loop {
         // Claim a runnable job.
         let mut core = state.core.lock().unwrap();
-        let (id, job, snapshot, deadline, chaos) = loop {
+        let (id, job, snapshot, deadline, panics) = loop {
             if core.stop {
                 return;
             }
@@ -1298,15 +1195,15 @@ fn worker_loop(state: &Arc<ServerState>) {
                 let record = core.jobs.get_mut(&entry.id).expect("queued jobs have records");
                 record.status = JobStatus::Running;
                 record.attempts += 1;
-                let chaos =
-                    record.attempts <= record.chaos_panics || state.chaos_roll_panic();
+                let panics = record.attempts <= record.chaos_panics
+                    || state.faults.as_ref().is_some_and(|f| f.attempt_panics());
                 let job = record.job.take().expect("queued jobs carry their BatchJob");
                 let deadline = record.timeout.map(|t| Instant::now() + t);
                 let fingerprint = record.fingerprint;
                 let snapshot = core.groups[&fingerprint].snapshot.clone();
                 core.in_flight += 1;
                 journal_append(state, &[JournalRecord::Start { id: entry.id }]);
-                break (entry.id, job, snapshot, deadline, chaos);
+                break (entry.id, job, snapshot, deadline, panics);
             }
             // Nothing runnable: sleep until the earliest parked job is
             // due, or indefinitely when nothing is parked — enqueues and
@@ -1324,10 +1221,10 @@ fn worker_loop(state: &Arc<ServerState>) {
         };
         drop(core);
 
-        // Run outside the lock. Panics (including injected chaos) are
+        // Run outside the lock. Panics (including injected ones) are
         // caught; the shared caches only ever see *successful* outcomes.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            assert!(!chaos, "chaos injection: attempt panicked on request");
+            assert!(!panics, "chaos injection: attempt panicked on request");
             run_single(&job, &snapshot, deadline)
         }));
 
@@ -1369,9 +1266,11 @@ fn worker_loop(state: &Arc<ServerState>) {
                         .driver
                         .current_snapshot(fingerprint)
                         .expect("group exists");
-                    core.groups.get_mut(&fingerprint).unwrap().snapshot = fresh.clone();
+                    let group = core.groups.get_mut(&fingerprint).expect("group exists");
+                    if replace_snapshot(group, &fresh) {
+                        persist = Some(fresh);
+                    }
                     state.metrics.refrozen(fingerprint, rate);
-                    persist = Some(fresh);
                 }
             }
             Ok(Err(failure)) => {

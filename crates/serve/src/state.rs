@@ -7,15 +7,14 @@ use crate::json::Json;
 use crate::journal::{Journal, JournalRecord, SubmitRecord};
 use crate::metrics::Metrics;
 use crate::queue::{JobQueue, QueueEntry};
-use crate::server::ServeConfig;
+use crate::server::{Faults, ServeConfig};
 use crate::sys::Waker;
 use fastsim_core::{
     BatchDriver, BatchJob, HierarchyConfig, JobReport, SnapshotStore, WarmCacheSnapshot,
 };
-use fastsim_prng::Rng;
 use fastsim_workloads::Manifest;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Where a job is in its lifecycle.
@@ -100,6 +99,12 @@ pub struct GroupCtl {
 }
 
 impl GroupCtl {
+    /// Control for a group whose current snapshot is `snapshot`, with an
+    /// empty window.
+    pub fn new(snapshot: WarmCacheSnapshot) -> GroupCtl {
+        GroupCtl { snapshot, deltas_since_freeze: 0, hits_window: 0, lookups_window: 0 }
+    }
+
     /// The window's memoization hit rate (0 when no lookups).
     pub fn window_hit_rate(&self) -> f64 {
         if self.lookups_window == 0 {
@@ -177,33 +182,6 @@ impl Core {
     }
 }
 
-/// The seeded fault-injection state (leaf lock: taken only for a roll or
-/// a counter read, never while waiting on anything else).
-pub struct ChaosState {
-    /// The deterministic fault-decision stream.
-    pub rng: Rng,
-    /// Rolls fire only while enabled; `quiesce` flips this off so
-    /// post-chaos verification runs clean.
-    pub enabled: bool,
-    /// Responses dropped so far.
-    pub drops: u64,
-    /// Responses truncated so far.
-    pub truncations: u64,
-    /// Worker panics injected so far.
-    pub panics: u64,
-}
-
-/// What the connection handler should do with a response line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResponsePlan {
-    /// Write the full line (the only plan without chaos).
-    Deliver,
-    /// Close the connection without writing anything.
-    Drop,
-    /// Write a prefix of the line (no trailing newline), then close.
-    Truncate,
-}
-
 /// The server's shared state: the core behind its lock, the condvars, the
 /// metrics registry, and the immutable config.
 pub struct ServerState {
@@ -218,8 +196,8 @@ pub struct ServerState {
     pub metrics: Metrics,
     /// Server configuration.
     pub cfg: ServeConfig,
-    /// Fault injection, when the config asked for chaos.
-    pub chaos: Option<Mutex<ChaosState>>,
+    /// The fault seam (`None`: production — nothing is injected).
+    pub faults: Option<Arc<dyn Faults>>,
     /// The durable snapshot store, when [`ServeConfig::snapshot_dir`] is
     /// set. Saves take their own filesystem time on the worker path —
     /// always *after* the scheduler lock is released.
@@ -233,7 +211,8 @@ pub struct ServerState {
 
 impl ServerState {
     /// Fresh state for a server with the given config; `waker` is the
-    /// write end of the I/O loop's wake pipe.
+    /// write end of the I/O loop's wake pipe; `faults` fills the fault
+    /// seam.
     ///
     /// With [`ServeConfig::snapshot_dir`] set this is also the boot
     /// load: the store's newest decodable snapshot of every group is
@@ -250,16 +229,7 @@ impl ServerState {
     /// whose kernel or preset can no longer be rebuilt is settled as
     /// `Failed` with a typed reason — never silently replayed as a
     /// different job.
-    pub fn new(cfg: ServeConfig, waker: Waker) -> ServerState {
-        let chaos = cfg.chaos.map(|c| {
-            Mutex::new(ChaosState {
-                rng: Rng::new(c.seed),
-                enabled: true,
-                drops: 0,
-                truncations: 0,
-                panics: 0,
-            })
-        });
+    pub fn new(cfg: ServeConfig, waker: Waker, faults: Option<Arc<dyn Faults>>) -> ServerState {
         let metrics = Metrics::new();
         let mut driver = BatchDriver::new(1);
         let mut groups = HashMap::new();
@@ -284,15 +254,7 @@ impl ServerState {
                     for loaded in report.loaded {
                         let fingerprint = loaded.snapshot.fingerprint();
                         if driver.adopt_snapshot(&loaded.snapshot) {
-                            groups.insert(
-                                fingerprint,
-                                GroupCtl {
-                                    snapshot: loaded.snapshot,
-                                    deltas_since_freeze: 0,
-                                    hits_window: 0,
-                                    lookups_window: 0,
-                                },
-                            );
+                            groups.insert(fingerprint, GroupCtl::new(loaded.snapshot));
                             metrics.snapshot_loaded(loaded.bytes as u64, loaded.generation);
                         }
                     }
@@ -346,13 +308,12 @@ impl ServerState {
                     match built {
                         Ok(job) => {
                             let fingerprint = driver.ensure_group(&job);
-                            groups.entry(fingerprint).or_insert_with(|| GroupCtl {
-                                snapshot: driver
-                                    .current_snapshot(fingerprint)
-                                    .expect("group ensured above"),
-                                deltas_since_freeze: 0,
-                                hits_window: 0,
-                                lookups_window: 0,
+                            groups.entry(fingerprint).or_insert_with(|| {
+                                GroupCtl::new(
+                                    driver
+                                        .current_snapshot(fingerprint)
+                                        .expect("group ensured above"),
+                                )
                             });
                             record.job = Some(job);
                             record.fingerprint = fingerprint;
@@ -421,67 +382,10 @@ impl ServerState {
             waker,
             metrics,
             cfg,
-            chaos,
+            faults,
             store,
             journal,
         }
-    }
-
-    /// Rolls the transport fault dice for one response line.
-    pub fn chaos_response_plan(&self) -> ResponsePlan {
-        let (Some(chaos), Some(cfg)) = (&self.chaos, &self.cfg.chaos) else {
-            return ResponsePlan::Deliver;
-        };
-        let mut c = chaos.lock().unwrap();
-        if !c.enabled {
-            return ResponsePlan::Deliver;
-        }
-        let roll = c.rng.range_u64(0..1000) as u32;
-        if roll < cfg.drop_per_mille {
-            c.drops += 1;
-            ResponsePlan::Drop
-        } else if roll < cfg.drop_per_mille + cfg.truncate_per_mille {
-            c.truncations += 1;
-            ResponsePlan::Truncate
-        } else {
-            ResponsePlan::Deliver
-        }
-    }
-
-    /// Rolls the worker-panic dice for one job attempt.
-    pub fn chaos_roll_panic(&self) -> bool {
-        let (Some(chaos), Some(cfg)) = (&self.chaos, &self.cfg.chaos) else {
-            return false;
-        };
-        let mut c = chaos.lock().unwrap();
-        if !c.enabled || c.rng.range_u64(0..1000) as u32 >= cfg.panic_per_mille {
-            return false;
-        }
-        c.panics += 1;
-        true
-    }
-
-    /// Turns fault injection on or off (counters and the rng stream keep
-    /// their state). No-op on a server without chaos.
-    pub fn set_chaos_enabled(&self, enabled: bool) {
-        if let Some(chaos) = &self.chaos {
-            chaos.lock().unwrap().enabled = enabled;
-        }
-    }
-
-    /// The chaos counters as a JSON object, when chaos is configured —
-    /// appended to metrics dumps so a storm can prove faults actually
-    /// fired.
-    pub fn chaos_json(&self) -> Option<Json> {
-        self.chaos.as_ref().map(|chaos| {
-            let c = chaos.lock().unwrap();
-            Json::obj([
-                ("enabled", Json::Bool(c.enabled)),
-                ("drops", Json::from(c.drops)),
-                ("truncations", Json::from(c.truncations)),
-                ("panics_injected", Json::from(c.panics)),
-            ])
-        })
     }
 
     /// Admits one expanded job under the scheduler lock: assigns an id,
@@ -512,10 +416,7 @@ impl ServerState {
         if !core.groups.contains_key(&fingerprint) {
             let snapshot =
                 core.driver.current_snapshot(fingerprint).expect("group ensured above");
-            core.groups.insert(
-                fingerprint,
-                GroupCtl { snapshot, deltas_since_freeze: 0, hits_window: 0, lookups_window: 0 },
-            );
+            core.groups.insert(fingerprint, GroupCtl::new(snapshot));
         }
         let id = core.next_id;
         core.next_id += 1;

@@ -291,10 +291,26 @@ for field in cycles retired_insts l1_misses; do
         exit 1
     fi
 done
+# The error path: an unknown job answers 404 over HTTP, and the body is
+# byte-for-byte the line protocol's answer to the same poll.
+"$OPS" --http "$HTTP_ADDR" --method GET --path /v1/jobs/999999 \
+    > target/ci_http_error.txt
+head -1 target/ci_http_error.txt | grep -qx 404 || {
+    echo "http smoke: GET /v1/jobs/999999 did not answer 404" >&2
+    exit 1
+}
+tail -n +2 target/ci_http_error.txt > target/ci_http_error_body.txt
+"$OPS" --unix "$HTTP_SOCK" --op '{"op": "poll", "job": 999999}' \
+    > target/ci_line_error.txt
+if ! cmp -s target/ci_http_error_body.txt target/ci_line_error.txt; then
+    echo "http smoke: the 404 body differs from the line protocol's answer" >&2
+    diff target/ci_http_error_body.txt target/ci_line_error.txt >&2 || true
+    exit 1
+fi
 "$OPS" --unix "$HTTP_SOCK" --op '{"op": "shutdown"}' \
     | grep -qF '"ok": true' || { echo "http smoke: shutdown failed" >&2; exit 1; }
 wait "$HTTP_PID"
-echo "==> http smoke passed ($HTTP_ADDR, deterministic fields identical)"
+echo "==> http smoke passed ($HTTP_ADDR, deterministic fields and error bodies identical)"
 
 echo "==> serve scale smoke: 1024 idle connections around an active core"
 # Connection-scaling gate for the event-loop server: park 1024 idle
@@ -344,15 +360,15 @@ echo "==> fuzz smoke: 500 generated kernels through the differential oracle"
 # Fixed seed, fully offline: replay the checked-in fuzz/corpus/ golden
 # seeds, then generate 500 random kernels and require bit-identical
 # fast==slow statistics across all hierarchy presets × GC policies ×
-# replay strategies (node-at-a-time vs trace-compiled, chaining off vs
-# on), plus the freeze/thaw/merge lifecycle. On top of the differential
-# sweep, frozen caches are encoded to fastsim-snapshot/v1 and attacked
-# with seeded corruption — every effective mutation must be rejected
-# with a typed error, never absorbed or panicked on — and seeded
-# fastsim-journal/v1 record streams face the same sweep under the
+# replay strategies (node-at-a-time vs eagerly and adaptively
+# trace-compiled), plus the freeze/thaw/merge lifecycle. On top of the
+# differential sweep, frozen caches are encoded to fastsim-snapshot/v1
+# and attacked with seeded corruption — every effective mutation must be
+# rejected with a typed error, never absorbed or panicked on — and
+# seeded fastsim-journal/v1 record streams face the same sweep under the
 # prefix-or-reject oracle (a corrupted journal may lose its torn tail,
-# never replay a wrong job). Failures
-# would be shrunk to replayable reproducers under target/fuzz_failures/.
+# never replay a wrong job). Failures would be shrunk to replayable
+# reproducers under target/fuzz_failures/.
 FUZZ_OUT="target/fuzz_smoke.json"
 cargo run --release -q -p fastsim-fuzz --bin fuzz_smoke -- \
     --seed 0xf00dfeed --kernels 500 --corpus fuzz/corpus --out "$FUZZ_OUT"
@@ -370,11 +386,11 @@ done
 echo "==> fuzz smoke passed ($FUZZ_OUT)"
 
 echo "==> chaos smoke: seeded fault storm against a live server"
-# Server-side fault injection (response drops, truncations, worker
-# panics) under a seeded client storm (malformed/partial frames,
-# deadline storms). Gates: every admitted job settles, the metrics dump
-# stays schema-valid, faults actually fired, and post-chaos results are
-# bit-identical to an offline batch run.
+# Server-side fault injection through the server's fault seam (response
+# drops, truncations, worker panics) under a seeded client storm
+# (malformed/partial frames, deadline storms). Gates: every admitted job
+# settles, the metrics dump stays schema-valid, faults actually fired,
+# and post-chaos results are bit-identical to an offline batch run.
 CHAOS_OUT="target/chaos_smoke.json"
 cargo run --release -q -p fastsim-fuzz --bin chaos_smoke -- \
     --seed 0xc4a050de --socket target/ci_chaos.sock --out "$CHAOS_OUT" \

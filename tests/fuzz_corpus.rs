@@ -4,8 +4,8 @@
 //! plus minimized reproducers from past (injected) bugs — in the
 //! replayable `fastsim-kernel/v1` format. Every entry must keep passing
 //! the full differential oracle matrix: all hierarchy presets × GC
-//! policies × replay strategies (node-at-a-time vs trace-compiled,
-//! segment chaining off vs on), the determinism rerun, and the batch
+//! policies × replay strategies (node-at-a-time vs eagerly and
+//! adaptively trace-compiled), the determinism rerun, and the batch
 //! freeze/thaw/merge lifecycle.
 
 use fastsim_fuzz::{check, corpus, OracleConfig};

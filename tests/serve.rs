@@ -16,9 +16,11 @@
 //!    store, and `snapshot_export`/`snapshot_import` ship warmth to a
 //!    cold server — in both cases bit-identical to the offline run.
 //! 5. **The HTTP gateway is the same service**: a job submitted over
-//!    `POST /v1/jobs` is bit-identical to the line protocol, framing
-//!    violations draw typed statuses and close, routing errors keep the
-//!    connection, and pipelined keep-alive requests answer in order.
+//!    `POST /v1/jobs` is bit-identical to the line protocol, every error
+//!    body equals the line protocol's answer to the same request byte for
+//!    byte, framing violations draw typed statuses and close, routing
+//!    errors keep the connection, and pipelined keep-alive requests answer
+//!    in order — also behind a deferred submit.
 
 #![cfg(unix)]
 
@@ -691,6 +693,145 @@ fn pipelined_http_requests_answer_in_order_and_honor_connection_close() {
     assert!(read_http_response(&mut reader).is_none(), "server honors Connection: close");
 
     handle.kill();
+}
+
+/// One line-protocol exchange: the response line exactly as sent.
+fn line_exchange(stream: &mut std::os::unix::net::UnixStream, request: &str) -> String {
+    stream.write_all(format!("{request}\n").as_bytes()).expect("write line");
+    let mut line = String::new();
+    BufReader::new(stream.try_clone().expect("clone")).read_line(&mut line).expect("read line");
+    line
+}
+
+#[test]
+fn http_and_line_protocol_errors_are_byte_identical() {
+    let (handle, socket, http) =
+        start_http_server("http_errors", ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut line = std::os::unix::net::UnixStream::connect(&socket).expect("connect line");
+    let mut web = TcpStream::connect(http).expect("connect http");
+    let mut check = |case: &str, request: String, line_request: &str, status: u16| {
+        web.write_all(request.as_bytes()).expect("write request");
+        let mut reader = BufReader::new(web.try_clone().expect("clone"));
+        let (got, _, body) = read_http_response(&mut reader).expect("one response");
+        assert_eq!(got, status, "{case}: {body}");
+        assert!(body.starts_with(r#"{"ok": false, "error": "#), "{case}: {body}");
+        assert_eq!(body, line_exchange(&mut line, line_request), "{case}: HTTP body == line");
+    };
+    let post = |body: &str| {
+        format!("POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+    };
+    let get = |path: &str| format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n");
+
+    // (case, HTTP request, the same request as a line, status)
+    let cases = [
+        ("malformed JSON", post(r#"{"kernels": ["#), r#"{"kernels": ["#, 400),
+        ("no kernels", post(r#"{"insts": 1000}"#), r#"{"op": "submit", "insts": 1000}"#, 400),
+        (
+            "unknown kernel",
+            post(r#"{"kernels": ["nope"], "insts": 1000}"#),
+            r#"{"op": "submit", "kernels": ["nope"], "insts": 1000}"#,
+            400,
+        ),
+        (
+            "unknown preset",
+            post(r#"{"kernels": ["compress"], "insts": 1000, "hierarchy": "nope"}"#),
+            r#"{"op": "submit", "kernels": ["compress"], "insts": 1000, "hierarchy": "nope"}"#,
+            400,
+        ),
+        ("unknown job", get("/v1/jobs/999999"), r#"{"op": "poll", "job": 999999}"#, 404),
+        ("non-numeric job", get("/v1/jobs/abc"), r#"{"op": "poll", "job": "abc"}"#, 404),
+    ];
+    for (case, request, line_request, status) in cases {
+        check(case, request, line_request, status);
+    }
+
+    // A draining server refuses submits the same way on both listeners.
+    let mut admin = std::os::unix::net::UnixStream::connect(&socket).expect("connect admin");
+    let drained = Json::parse(&line_exchange(&mut admin, r#"{"op": "drain"}"#)).expect("json");
+    assert_eq!(drained.get("ok").and_then(Json::as_bool), Some(true), "{drained}");
+    check(
+        "draining",
+        post(r#"{"kernels": ["compress"], "insts": 1000}"#),
+        r#"{"op": "submit", "kernels": ["compress"], "insts": 1000}"#,
+        400,
+    );
+
+    handle.kill();
+}
+
+#[test]
+fn pipelined_http_answers_queue_behind_a_deferred_submit() {
+    let (handle, _socket, http) =
+        start_http_server("http_deferred", ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut stream = TcpStream::connect(http).expect("connect");
+
+    // One write: a waiting submit (deferred until its job settles), then a
+    // routing error and a metrics request that must queue behind it.
+    let body = format!(r#"{{"kernels": ["compress"], "insts": {INSTS}, "wait": true}}"#);
+    let pipelined = format!(
+        "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}\
+         GET /nope HTTP/1.1\r\nHost: x\r\n\r\n\
+         GET /v1/metrics HTTP/1.1\r\nHost: x\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(pipelined.as_bytes()).expect("pipelined write");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    let (status, _, body) = read_http_response(&mut reader).expect("submit response");
+    assert_eq!(status, 200, "{body}");
+    let submitted = Json::parse(&body).expect("json");
+    let job = &submitted.get("jobs").and_then(Json::as_arr).expect("jobs")[0];
+    assert_eq!(job.get("status").and_then(Json::as_str), Some("done"));
+    let (status, _, body) = read_http_response(&mut reader).expect("routing response");
+    assert_eq!(status, 404, "{body}");
+    let (status, _, body) = read_http_response(&mut reader).expect("metrics response");
+    assert_eq!(status, 200, "{body}");
+    let metrics = Json::parse(&body).expect("json");
+    assert_eq!(
+        metrics.get("metrics").unwrap().get("completed").and_then(Json::as_u64),
+        Some(1),
+        "the metrics request ran after the deferred submit settled"
+    );
+
+    handle.kill();
+}
+
+#[test]
+fn refreezes_that_change_nothing_are_not_persisted() {
+    const ROUNDS: u64 = 60;
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("snapshots_unchanged");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        workers: 1,
+        refreeze_every: 1,
+        snapshot_dir: Some(dir),
+        ..ServeConfig::default()
+    };
+    let (handle, socket) = start_server("unchanged", cfg);
+    let mut client = Client::connect_unix(&socket).expect("connect");
+
+    // The same small job over and over: every merge re-freezes, and once
+    // the group is warm (its replay hotness settled too) a re-freeze hands
+    // back the snapshot it already had.
+    for round in 0..ROUNDS {
+        client
+            .expect_ok(&Json::obj([
+                ("op", Json::from("submit")),
+                ("kernels", Json::Arr(vec![Json::from("compress")])),
+                ("insts", Json::from(5_000u64)),
+                ("client", Json::from(format!("round-{round}"))),
+                ("wait", Json::Bool(true)),
+            ]))
+            .expect("submit");
+    }
+    client.shutdown().expect("shutdown");
+    let m = handle.wait();
+    let refreezes = m.get("refreezes").and_then(Json::as_u64).expect("refreezes");
+    let saves = m.get("snapshot").and_then(|s| s.get("saves")).and_then(Json::as_u64);
+    assert_eq!(refreezes, ROUNDS, "every merge re-froze");
+    let saves = saves.expect("snapshot block with a store attached");
+    assert!(saves >= 1, "the first, cold re-freeze persisted");
+    assert!(saves < refreezes, "unchanged re-freezes were persisted: {saves} of {refreezes}");
 }
 
 #[test]

@@ -1,20 +1,23 @@
 //! Serve-path chaos integration tests: seeded server-side fault injection
-//! (response drops, mid-line truncations, worker panics) under a seeded
-//! client storm (malformed frames, partial frames, slow-loris dribbles,
-//! half-open sockets, mid-response disconnects, deadline storms), then
-//! the settled-state invariants and the no-cache-poisoning gate — and the
-//! durable-store rebirth scenario: a server killed after a chaos storm
-//! restarts on the same `snapshot_dir` with an uncorrupted store.
+//! through the server's fault seam (response drops, mid-line
+//! truncations, worker panics — `fastsim_fuzz::chaos::SeededFaults`)
+//! under a seeded client storm (malformed frames, partial frames,
+//! slow-loris dribbles, half-open sockets, mid-response disconnects,
+//! deadline storms), then the settled-state invariants and the
+//! no-cache-poisoning gate — and the durable-store rebirth scenario: a
+//! server killed after a chaos storm restarts on the same `snapshot_dir`
+//! with an uncorrupted store.
 
 #![cfg(unix)]
 
 use fastsim_fuzz::chaos::{
-    drain_and_verify, post_chaos_identity, run_storm, RetryClient, StormConfig,
+    drain_and_verify, post_chaos_identity, run_storm, RetryClient, SeededFaults, StormConfig,
 };
 use fastsim_serve::json::Json;
-use fastsim_serve::server::{ChaosConfig, Listener, ServeConfig, Server};
+use fastsim_serve::server::{Listener, ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -25,10 +28,11 @@ fn chaos_storm_settles_and_never_poisons_the_caches() {
         workers: 2,
         refreeze_every: 2,
         backoff_base: Duration::from_millis(5),
-        chaos: Some(ChaosConfig::moderate(seed)),
         ..ServeConfig::default()
     };
-    let handle = Server::start(cfg, vec![Listener::unix(&socket).expect("bind test socket")]);
+    let faults = Arc::new(SeededFaults::new(seed));
+    let listener = Listener::unix(&socket).expect("bind test socket");
+    let handle = Server::start_with_faults(cfg, vec![listener], faults.clone());
 
     // Storm the server while its fault injection is live. Smaller than
     // the CI smoke — this runs in the debug test suite.
@@ -55,19 +59,15 @@ fn chaos_storm_settles_and_never_poisons_the_caches() {
 
     // Invariants with chaos still live: everything settles, the metrics
     // dump stays schema-valid, totals balance.
-    let metrics = drain_and_verify(&socket).expect("settled-state invariants hold");
-    let chaos = metrics.get("chaos").expect("chaos counters in the dump");
-    let fired: u64 = ["drops", "truncations", "panics_injected"]
-        .iter()
-        .filter_map(|k| chaos.get(k).and_then(Json::as_u64))
-        .sum();
-    assert!(fired > 0, "no faults fired — the chaos config was not live: {chaos}");
+    drain_and_verify(&socket).expect("settled-state invariants hold");
+    let fired = faults.counts();
+    assert!(fired.total() > 0, "no faults fired — the fault seam was not live: {fired:?}");
 
     // Quiesce, then demand bit-identity with an offline batch run.
-    handle.quiesce_chaos();
+    faults.quiesce();
     post_chaos_identity(&socket, 5_000).expect("post-chaos results bit-identical to offline");
 
-    // Shut down; the final dump still carries the storm's evidence.
+    // Shut down; no fault fired after the quiesce.
     let mut client = RetryClient::new(&socket);
     let stopped = client.request(&Json::obj([("op", Json::from("shutdown"))]));
     assert_eq!(stopped.get("ok").and_then(Json::as_bool), Some(true));
@@ -76,12 +76,7 @@ fn chaos_storm_settles_and_never_poisons_the_caches() {
         final_dump.get("schema").and_then(Json::as_str),
         Some(fastsim_serve::metrics::SCHEMA)
     );
-    let final_chaos = final_dump.get("chaos").expect("chaos counters survive shutdown");
-    assert_eq!(
-        final_chaos.get("enabled").and_then(Json::as_bool),
-        Some(false),
-        "chaos stays quiesced"
-    );
+    assert_eq!(faults.counts(), fired, "chaos stays quiesced");
     let submitted = final_dump.get("submitted").and_then(Json::as_u64).unwrap();
     let settled = ["completed", "failed", "quarantined"]
         .iter()
@@ -103,11 +98,12 @@ fn chaos_killed_server_reborn_from_snapshot_store_serves_clean() {
         workers: 2,
         refreeze_every: 2,
         backoff_base: Duration::from_millis(5),
-        chaos: Some(ChaosConfig::moderate(seed)),
         snapshot_dir: Some(dir.to_path_buf()),
         ..ServeConfig::default()
     };
-    let handle = Server::start(cfg, vec![Listener::unix(&socket).expect("bind test socket")]);
+    let faults = Arc::new(SeededFaults::new(seed));
+    let listener = Listener::unix(&socket).expect("bind test socket");
+    let handle = Server::start_with_faults(cfg, vec![listener], faults);
     let storm = run_storm(
         &socket,
         seed ^ 0xbeef,

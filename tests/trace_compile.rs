@@ -1,9 +1,10 @@
 //! Trace-compiled replay equivalence: flattening hot p-action chains into
 //! linear segments is purely a host-performance transformation — every
 //! simulation result, statistic and cache state must be bit-identical to
-//! node-at-a-time replay at any hotness threshold, with segment chaining
-//! on or off, under every replacement policy, across a freeze/thaw/merge
-//! round trip, and whether segments were thawed or freshly recompiled.
+//! node-at-a-time replay at any hotness threshold, with segments chained
+//! segment-to-segment, under every replacement policy, across a
+//! freeze/thaw/merge round trip, and whether segments were thawed or
+//! freshly recompiled.
 
 use fastsim::core::{
     CacheConfig, CacheStats, HierarchyConfig, MemoStats, Mode, Policy, SimStats, Simulator,
@@ -362,34 +363,29 @@ fn thawed_segments_replay_identical_to_fresh_recompile() {
 }
 
 /// Chain-link side tables are host bookkeeping: modeled cache bytes (the
-/// paper's figure of merit) must be identical with chaining on, chaining
-/// off, and node-at-a-time replay — as must every architectural stat.
+/// paper's figure of merit) must be identical with chained segments and
+/// with node-at-a-time replay — as must every architectural stat.
 #[test]
 fn modeled_bytes_unchanged_by_chaining() {
     let w = by_name("099.go").expect("workload exists");
     let program = w.program_for_insts(60_000);
-    // (hotness, chaining)
-    let variants = [(u32::MAX, true), (0, false), (0, true)];
     let mut outcomes = Vec::new();
-    for (hotness, chaining) in variants {
+    for hotness in [u32::MAX, 0] {
         let mut sim = Simulator::new(&program, Mode::fast()).expect("builds");
         sim.set_trace_hotness(hotness);
-        sim.set_trace_chaining(chaining);
         sim.run_to_completion().expect("completes");
         let memo = *sim.memo_stats().expect("fast mode");
         outcomes.push((*sim.stats(), sim.output().to_vec(), memo));
     }
-    let (node, unchained, chained) = (&outcomes[0], &outcomes[1], &outcomes[2]);
-    for (variant, ctx) in [(unchained, "chaining off"), (chained, "chaining on")] {
-        assert_eq!(variant.0, node.0, "{ctx}: SimStats");
-        assert_eq!(variant.1, node.1, "{ctx}: program output");
-        assert_eq!(variant.2.bytes, node.2.bytes, "{ctx}: modeled bytes");
-        assert_eq!(variant.2.peak_bytes, node.2.peak_bytes, "{ctx}: peak bytes");
-        assert_pre_trace_memo_equal(&variant.2, &node.2, ctx);
-    }
-    assert_eq!(unchained.2.chained_exits, 0, "chaining off never chains");
-    assert_eq!(unchained.2.chain_follows, 0, "chaining off never follows links");
-    assert!(chained.2.chained_exits > 0, "chaining on must chain on a hot loop");
+    let (node, chained) = (&outcomes[0], &outcomes[1]);
+    let ctx = "chained segments";
+    assert_eq!(chained.0, node.0, "{ctx}: SimStats");
+    assert_eq!(chained.1, node.1, "{ctx}: program output");
+    assert_eq!(chained.2.bytes, node.2.bytes, "{ctx}: modeled bytes");
+    assert_eq!(chained.2.peak_bytes, node.2.peak_bytes, "{ctx}: peak bytes");
+    assert_pre_trace_memo_equal(&chained.2, &node.2, ctx);
+    assert_eq!(node.2.chained_exits, 0, "node-at-a-time replay never chains");
+    assert!(chained.2.chained_exits > 0, "chaining must chain on a hot loop");
     assert!(
         chained.2.chain_follows <= chained.2.chained_exits,
         "fast-path follows are a subset of chained transitions"
