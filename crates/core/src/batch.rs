@@ -81,8 +81,9 @@ pub struct BatchJob {
     /// for that group.
     pub policy: Policy,
     /// Trace-compilation hotness threshold for this job's private working
-    /// cache (`u32::MAX` disables trace-compiled replay; traces are never
-    /// carried into the shared master).
+    /// cache (`u32::MAX` disables trace-compiled replay). Segments the job
+    /// compiles ride in its delta, and the merge into the shared master
+    /// imports those that cover only nodes inherited from the snapshot.
     pub trace_hotness: u32,
 }
 

@@ -1,9 +1,15 @@
 //! The simulation engine: detailed recording, fast-forward replay, and the
 //! fallback path between them.
+//!
+//! One executor, `Shared::perform`, is the only place an action meets the
+//! environment (the emulator and the cache simulator): detailed recording
+//! (`Shared::respond`) and both replay paths, node-at-a-time and trace
+//! segments (`Shared::replay`), call it.
 
 use crate::error::{BuildError, SimError};
 use crate::stats::SimStats;
 use fastsim_emu::{BranchPredictor, CtrlKind, RunOutcome, SpecEmulator, SpecError};
+use fastsim_hash::{fnv1a_lane, FNV1A_OFFSET};
 use fastsim_isa::{DecodedProgram, Program};
 use fastsim_mem::{CacheConfig, CacheSim, CacheStats, HierarchyConfig, LevelStats, PollResult};
 use fastsim_memo::{
@@ -178,17 +184,15 @@ impl WarmCacheSnapshot {
     }
 }
 
-/// FNV-1a fingerprint of everything the recorded actions depend on.
+/// FNV-1a fingerprint of everything the recorded actions depend on, one
+/// `u64` lane per value.
 ///
 /// Hashes the full hierarchy — level count and every per-level parameter —
 /// so warm caches recorded under different hierarchies can never be
 /// confused, whatever their depth.
 pub(crate) fn fingerprint(program: &Program, uarch: &UArchConfig, cache: &HierarchyConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = FNV1A_OFFSET;
+    let mut eat = |v: u64| fnv1a_lane(&mut h, v);
     eat(program.base as u64);
     eat(program.entry as u64);
     for &w in &program.words {
@@ -244,10 +248,10 @@ pub(crate) fn fingerprint(program: &Program, uarch: &UArchConfig, cache: &Hierar
     h
 }
 
-/// A buffered environment response, kept from the moment fast-forwarding
-/// crosses a configuration so that, on an unseen outcome, the detailed
-/// simulator can re-run the configuration's cycles *without repeating side
-/// effects*.
+/// An environment action's response, as [`Shared::perform`] returns it.
+/// Replay buffers every response from the moment fast-forwarding crosses a
+/// configuration so that, on an unseen outcome, the detailed simulator can
+/// re-run the configuration's cycles *without repeating side effects*.
 #[derive(Clone, Copy, Debug)]
 enum Buffered {
     Feed(RecordFeed),
@@ -256,6 +260,28 @@ enum Buffered {
     Store,
     Cancel,
     Rollback(u32),
+}
+
+impl Buffered {
+    /// The outcome the action graph branches on, or `None` for the
+    /// response of an outcome-less action.
+    #[inline(always)]
+    fn outcome(self) -> Option<OutcomeKey> {
+        Some(match self {
+            Buffered::Feed(RecordFeed::Record(r)) if r.is_indirect => {
+                OutcomeKey::Indirect { target: r.target, mispredicted: r.mispredicted }
+            }
+            Buffered::Feed(RecordFeed::Record(r)) => {
+                OutcomeKey::Branch { taken: r.taken, mispredicted: r.mispredicted }
+            }
+            Buffered::Feed(RecordFeed::Halted) => OutcomeKey::Halted,
+            Buffered::Feed(RecordFeed::Blocked) => OutcomeKey::Blocked,
+            Buffered::Interval(v) => OutcomeKey::Interval(v),
+            Buffered::Poll(LoadPoll::Ready) => OutcomeKey::PollReady,
+            Buffered::Poll(LoadPoll::Wait(w)) => OutcomeKey::PollWait(w),
+            Buffered::Store | Buffered::Cancel | Buffered::Rollback(_) => return None,
+        })
+    }
 }
 
 /// Fallback/resume bookkeeping.
@@ -305,10 +331,6 @@ impl Shared {
         self.pcache.is_some() && self.resume.responses.is_empty()
     }
 
-    fn pop_buffered(&mut self) -> Option<Buffered> {
-        self.resume.responses.pop_front()
-    }
-
     fn maybe_flush_advance(&mut self) {
         if self.advance_flushed {
             return;
@@ -325,27 +347,140 @@ impl Shared {
         self.pending_retired = RetireCounts::default();
     }
 
-    fn record_simple(&mut self, kind: ActionKind) {
-        if !self.recording_live() {
-            return;
-        }
-        self.maybe_flush_advance();
-        if let Some(pc) = &mut self.pcache {
-            pc.record_action(kind);
-            self.stats.dynamic_actions += 1;
-        }
-    }
-
-    fn record_with_outcome(&mut self, kind: ActionKind, key: OutcomeKey) {
+    /// Records `kind` with its observed `outcome` (`None` for outcome-less
+    /// actions), after the cycle's pending `Advance`, while recording is
+    /// live.
+    fn record(&mut self, kind: ActionKind, outcome: Option<OutcomeKey>) {
         if !self.recording_live() {
             return;
         }
         self.maybe_flush_advance();
         if let Some(pc) = &mut self.pcache {
             let id = pc.record_action(kind);
-            pc.set_outcome(id, key);
+            if let Some(key) = outcome {
+                pc.set_outcome(id, key);
+            }
             self.stats.dynamic_actions += 1;
         }
+    }
+
+    /// Performs one environment action on the emulator and the cache
+    /// simulator. This is the only place an action meets the environment:
+    /// detailed recording ([`Shared::respond`]) and both replay paths
+    /// ([`Shared::replay`]) call it, so replay repeats exactly what
+    /// recording did (paper §3–4).
+    ///
+    /// A `FetchRecord` serves the eagerly produced control record and runs
+    /// direct execution one stretch further; a `Rollback` runs the
+    /// corrected path's next stretch. Either may set [`Shared::fatal`].
+    ///
+    /// Always inlined: every caller passes a constant action or one it has
+    /// just matched, so the dispatch below folds away.
+    #[inline(always)]
+    fn perform(&mut self, kind: ActionKind) -> Buffered {
+        let now = self.stats.cycles;
+        match kind {
+            ActionKind::FetchRecord => {
+                let feed = match self.emu.cq_get(self.next_fetch_record) {
+                    Some(rec) => RecordFeed::Record(RecordInfo {
+                        pc: rec.pc,
+                        is_indirect: rec.kind == CtrlKind::IndirectJump,
+                        taken: rec.taken,
+                        mispredicted: rec.mispredicted,
+                        target: rec.target,
+                        next_fetch: rec.next_fetch,
+                    }),
+                    // The eager run could not reach another control
+                    // transfer. Consistent engines never ask in this state
+                    // (fetch stalls at the halt instruction or the
+                    // unfetchable address instead).
+                    None if self.emu.finally_halted() => RecordFeed::Halted,
+                    None => RecordFeed::Blocked,
+                };
+                if matches!(feed, RecordFeed::Record(_)) {
+                    self.next_fetch_record += 1;
+                    self.ensure_record_ahead();
+                }
+                Buffered::Feed(feed)
+            }
+            ActionKind::IssueLoad { lq_index } => {
+                let rec = *self.emu.lq_get(lq_index as usize).expect("issued load has an lQ entry");
+                Buffered::Interval(self.cache.issue_load(rec.seq, rec.addr, rec.width, now))
+            }
+            ActionKind::PollLoad { lq_index } => {
+                let rec = *self.emu.lq_get(lq_index as usize).expect("polled load has an lQ entry");
+                Buffered::Poll(match self.cache.poll_load(rec.seq, now) {
+                    PollResult::Ready => LoadPoll::Ready,
+                    PollResult::Wait(w) => LoadPoll::Wait(w),
+                })
+            }
+            ActionKind::IssueStore { sq_index } => {
+                let rec = self.emu.sq_get(sq_index as usize).expect("issued store has an sQ entry");
+                self.cache.issue_store(rec.addr, rec.width, now);
+                Buffered::Store
+            }
+            ActionKind::CancelLoad { lq_index } => {
+                let rec =
+                    *self.emu.lq_get(lq_index as usize).expect("cancelled load has an lQ entry");
+                self.cache.cancel_load(rec.seq);
+                Buffered::Cancel
+            }
+            ActionKind::Rollback { ctrl_index } => {
+                let seq = self.emu.cq_get(ctrl_index as usize).map(|rec| rec.seq);
+                let redirect = self.emu.rollback(seq.expect("rollback target has a cQ entry"));
+                // Wrong-path records (and the eagerly produced one, if any)
+                // are gone; all remaining records are in flight. Run the
+                // corrected path's next stretch so fetch finds executed
+                // instructions.
+                self.next_fetch_record = self.emu.cq_len();
+                self.ensure_record_ahead();
+                Buffered::Rollback(redirect)
+            }
+            ActionKind::Advance { .. } | ActionKind::Finish => {
+                unreachable!("{kind:?} is not an environment action")
+            }
+        }
+    }
+
+    /// The detailed simulator's side of an environment action: a resume
+    /// re-run gets the response replay buffered; otherwise the action is
+    /// performed and recorded with its outcome.
+    #[inline(always)]
+    fn respond(&mut self, kind: ActionKind) -> Buffered {
+        self.interacted = true;
+        if let Some(b) = self.resume.responses.pop_front() {
+            return b;
+        }
+        let b = self.perform(kind);
+        self.record(kind, b.outcome());
+        b
+    }
+
+    /// Replay's side of an environment action: performs it, buffers the
+    /// response for a fallback re-run, and returns the outcome to follow
+    /// (`None` for outcome-less actions).
+    #[inline(always)]
+    fn replay(&mut self, kind: ActionKind) -> Result<Option<OutcomeKey>, SimError> {
+        let b = self.perform(kind);
+        let outcome = b.outcome();
+        // Only the actions that run direct execution can raise an error.
+        if matches!(b, Buffered::Feed(_) | Buffered::Rollback(_)) {
+            if let Some(e) = self.fatal.take() {
+                return Err(e);
+            }
+        }
+        self.resume.responses.push_back(b);
+        Ok(outcome)
+    }
+
+    /// Replay crossed a configuration, the new fallback anchor: the resume
+    /// state restarts there.
+    #[inline(always)]
+    fn cross_config(&mut self) {
+        self.resume.cycles = 0;
+        self.resume.pops = RetireCounts::default();
+        self.resume.responses.clear();
+        self.stats.config_visits += 1;
     }
 
     /// Applies the queue pops and counter updates of retirement.
@@ -392,80 +527,12 @@ impl Shared {
             }
         }
     }
-
-    /// Consumes the next control record for the pipeline (the semantics of
-    /// a `FetchRecord` action, shared by detailed recording and replay):
-    /// serves the eagerly produced record and runs direct execution one
-    /// stretch further.
-    fn consume_record_feed(&mut self) -> RecordFeed {
-        let feed = match self.emu.cq_get(self.next_fetch_record) {
-            Some(rec) => RecordFeed::Record(RecordInfo {
-                pc: rec.pc,
-                is_indirect: rec.kind == CtrlKind::IndirectJump,
-                taken: rec.taken,
-                mispredicted: rec.mispredicted,
-                target: rec.target,
-                next_fetch: rec.next_fetch,
-            }),
-            // The eager run could not reach another control transfer.
-            // Consistent engines never ask in this state (fetch stalls at
-            // the halt instruction or the unfetchable address instead).
-            None if self.emu.finally_halted() => RecordFeed::Halted,
-            None => RecordFeed::Blocked,
-        };
-        if matches!(feed, RecordFeed::Record(_)) {
-            self.next_fetch_record += 1;
-            self.ensure_record_ahead();
-        }
-        feed
-    }
-
-    fn do_issue_load(&mut self, lq_index: usize) -> u32 {
-        let rec = *self.emu.lq_get(lq_index).expect("issued load has an lQ entry");
-        self.cache.issue_load(rec.seq, rec.addr, rec.width, self.stats.cycles)
-    }
-
-    fn do_poll_load(&mut self, lq_index: usize) -> LoadPoll {
-        let rec = *self.emu.lq_get(lq_index).expect("polled load has an lQ entry");
-        match self.cache.poll_load(rec.seq, self.stats.cycles) {
-            PollResult::Ready => LoadPoll::Ready,
-            PollResult::Wait(w) => LoadPoll::Wait(w),
-        }
-    }
-
-    fn do_issue_store(&mut self, sq_index: usize) {
-        let rec = *self.emu.sq_get(sq_index).expect("issued store has an sQ entry");
-        self.cache.issue_store(rec.addr, rec.width, self.stats.cycles);
-    }
-
-    fn do_cancel_load(&mut self, lq_index: usize) {
-        let rec = *self.emu.lq_get(lq_index).expect("cancelled load has an lQ entry");
-        self.cache.cancel_load(rec.seq);
-    }
-
-    fn do_rollback(&mut self, ctrl_index: usize) -> u32 {
-        let seq = self.emu.cq_get(ctrl_index).expect("rollback target has a cQ entry").seq;
-        let redirect = self.emu.rollback(seq);
-        // Wrong-path records (and the eagerly produced one, if any) are
-        // gone; all remaining records are in flight. Run the corrected
-        // path's next stretch so fetch finds executed instructions.
-        self.next_fetch_record = self.emu.cq_len();
-        self.ensure_record_ahead();
-        redirect
-    }
 }
 
-fn outcome_of_feed(feed: &RecordFeed) -> OutcomeKey {
-    match feed {
-        RecordFeed::Record(r) if r.is_indirect => {
-            OutcomeKey::Indirect { target: r.target, mispredicted: r.mispredicted }
-        }
-        RecordFeed::Record(r) => {
-            OutcomeKey::Branch { taken: r.taken, mispredicted: r.mispredicted }
-        }
-        RecordFeed::Halted => OutcomeKey::Halted,
-        RecordFeed::Blocked => OutcomeKey::Blocked,
-    }
+/// A resume re-run asked for a different action than replay buffered.
+#[cold]
+fn desync(expected: &str, got: Buffered) -> ! {
+    unreachable!("resume desync: expected {expected}, got {got:?}")
 }
 
 impl PipelineEnv for Shared {
@@ -492,87 +559,49 @@ impl PipelineEnv for Shared {
     }
 
     fn fetch_record(&mut self, ctrl_index: usize) -> RecordFeed {
-        self.interacted = true;
-        if let Some(b) = self.pop_buffered() {
-            return match b {
-                Buffered::Feed(f) => f,
-                other => unreachable!("resume desync: expected record feed, got {other:?}"),
-            };
+        debug_assert!(
+            !self.resume.responses.is_empty() || ctrl_index == self.next_fetch_record,
+            "record request out of order"
+        );
+        match self.respond(ActionKind::FetchRecord) {
+            Buffered::Feed(f) => f,
+            other => desync("record feed", other),
         }
-        debug_assert_eq!(ctrl_index, self.next_fetch_record, "record request out of order");
-        let feed = self.consume_record_feed();
-        self.record_with_outcome(ActionKind::FetchRecord, outcome_of_feed(&feed));
-        feed
     }
 
     fn issue_load(&mut self, lq_index: usize) -> u32 {
-        self.interacted = true;
-        if let Some(b) = self.pop_buffered() {
-            return match b {
-                Buffered::Interval(v) => v,
-                other => unreachable!("resume desync: expected interval, got {other:?}"),
-            };
+        match self.respond(ActionKind::IssueLoad { lq_index: lq_index as u32 }) {
+            Buffered::Interval(v) => v,
+            other => desync("interval", other),
         }
-        let interval = self.do_issue_load(lq_index);
-        self.record_with_outcome(
-            ActionKind::IssueLoad { lq_index: lq_index as u32 },
-            OutcomeKey::Interval(interval),
-        );
-        interval
     }
 
     fn poll_load(&mut self, lq_index: usize) -> LoadPoll {
-        self.interacted = true;
-        if let Some(b) = self.pop_buffered() {
-            return match b {
-                Buffered::Poll(p) => p,
-                other => unreachable!("resume desync: expected poll, got {other:?}"),
-            };
+        match self.respond(ActionKind::PollLoad { lq_index: lq_index as u32 }) {
+            Buffered::Poll(p) => p,
+            other => desync("poll", other),
         }
-        let poll = self.do_poll_load(lq_index);
-        let key = match poll {
-            LoadPoll::Ready => OutcomeKey::PollReady,
-            LoadPoll::Wait(w) => OutcomeKey::PollWait(w),
-        };
-        self.record_with_outcome(ActionKind::PollLoad { lq_index: lq_index as u32 }, key);
-        poll
     }
 
     fn issue_store(&mut self, sq_index: usize) {
-        self.interacted = true;
-        if let Some(b) = self.pop_buffered() {
-            match b {
-                Buffered::Store => return,
-                other => unreachable!("resume desync: expected store, got {other:?}"),
-            }
+        match self.respond(ActionKind::IssueStore { sq_index: sq_index as u32 }) {
+            Buffered::Store => {}
+            other => desync("store", other),
         }
-        self.do_issue_store(sq_index);
-        self.record_simple(ActionKind::IssueStore { sq_index: sq_index as u32 });
     }
 
     fn cancel_load(&mut self, lq_index: usize) {
-        self.interacted = true;
-        if let Some(b) = self.pop_buffered() {
-            match b {
-                Buffered::Cancel => return,
-                other => unreachable!("resume desync: expected cancel, got {other:?}"),
-            }
+        match self.respond(ActionKind::CancelLoad { lq_index: lq_index as u32 }) {
+            Buffered::Cancel => {}
+            other => desync("cancel", other),
         }
-        self.do_cancel_load(lq_index);
-        self.record_simple(ActionKind::CancelLoad { lq_index: lq_index as u32 });
     }
 
     fn rollback(&mut self, ctrl_index: usize) -> u32 {
-        self.interacted = true;
-        if let Some(b) = self.pop_buffered() {
-            return match b {
-                Buffered::Rollback(r) => r,
-                other => unreachable!("resume desync: expected rollback, got {other:?}"),
-            };
+        match self.respond(ActionKind::Rollback { ctrl_index: ctrl_index as u32 }) {
+            Buffered::Rollback(r) => r,
+            other => desync("rollback", other),
         }
-        let redirect = self.do_rollback(ctrl_index);
-        self.record_simple(ActionKind::Rollback { ctrl_index: ctrl_index as u32 });
-        redirect
     }
 }
 
@@ -916,16 +945,9 @@ impl Simulator {
                 EngineMode::Replay { cursor } => self.replay_until(cursor, budget_end)?,
             };
             let s = &self.shared.stats;
-            if done {
+            if done || s.retired_insts >= budget_end {
                 return Ok(Progress {
-                    finished: true,
-                    retired_insts: s.retired_insts,
-                    cycles: s.cycles,
-                });
-            }
-            if s.retired_insts >= budget_end {
-                return Ok(Progress {
-                    finished: false,
+                    finished: done,
                     retired_insts: s.retired_insts,
                     cycles: s.cycles,
                 });
@@ -966,29 +988,19 @@ impl Simulator {
             }
             if summary.halted {
                 debug_assert!(!resuming, "halt cannot be new behaviour in a resume cycle");
-                if self.shared.recording_live() {
-                    self.shared.maybe_flush_advance();
-                    self.shared.record_simple(ActionKind::Finish);
-                }
+                self.shared.record(ActionKind::Finish, None);
                 self.mode = EngineMode::Finished;
                 return Ok(true);
             }
-            if self.shared.interacted && self.shared.pcache.is_some() {
+            if let (true, Some(pc)) = (self.shared.interacted, &mut self.shared.pcache) {
                 encode_config_into(&mut self.scratch, self.pipeline.state(), &self.prog);
-                // `pcache` stays Some for the life of a FastSim simulator.
-                let lookup = match &mut self.shared.pcache {
-                    Some(pc) => pc.register_config(&self.scratch),
-                    None => unreachable!("checked just above"),
-                };
-                match lookup {
+                match pc.register_config(&self.scratch) {
                     ConfigLookup::Hit(node) => {
                         self.chain_len = 0;
                         self.mode = EngineMode::Replay { cursor: node };
                         return Ok(false);
                     }
-                    ConfigLookup::Miss => {
-                        self.shared.stats.config_visits += 1;
-                    }
+                    ConfigLookup::Miss => self.shared.stats.config_visits += 1,
                 }
             }
             if self.shared.stats.retired_insts >= budget_end {
@@ -1039,15 +1051,11 @@ impl Simulator {
                             // compilation branches replay, truly unseen
                             // outcomes fall back, exactly as node-at-a-time.
                             pc.note_trace_bailout();
-                            match pc.branch_to(node, key) {
-                                Some(n) => {
-                                    cursor = n;
-                                    continue;
-                                }
-                                None => {
-                                    return self.fallback(pc, node, Some(key)).map(|()| false)
-                                }
-                            }
+                            cursor = match pc.branch_to(node, key) {
+                                Some(n) => n,
+                                None => return self.fallback(pc, node, Some(key)).map(|()| false),
+                            };
+                            continue;
                         }
                         SegExit::Finished => {
                             self.close_chain();
@@ -1061,92 +1069,21 @@ impl Simulator {
                         }
                     }
                 }
-                let cfg = pc.config_at(cursor).expect("config head carries bytes");
-                self.anchor.clear();
-                self.anchor.extend_from_slice(cfg);
-                self.shared.resume.cycles = 0;
-                self.shared.resume.pops = RetireCounts::default();
-                self.shared.resume.responses.clear();
-                self.shared.stats.config_visits += 1;
+                self.set_anchor(pc, cursor);
+                self.shared.cross_config();
             }
             let kind = pc.kind(cursor);
-            self.shared.stats.dynamic_actions += 1;
-            self.shared.stats.replayed_actions += 1;
-            self.chain_len += 1;
-            match kind {
+            self.count_replayed(1);
+            let (next, key) = match kind {
                 ActionKind::Advance { cycles, retired } => {
-                    self.shared.stats.cycles += cycles as u64;
-                    self.shared.stats.replayed_cycles += cycles as u64;
-                    self.shared.apply_retire(retired, true);
-                    self.shared.resume.cycles += cycles;
-                    self.shared.resume.pops.add(retired);
-                    if retired.insts > 0 {
-                        self.last_progress = self.shared.stats.cycles;
-                    }
+                    // Only retirement moves the budget: pause at the successor.
+                    let paused = self.replay_advance(cycles, retired, budget_end);
                     match pc.advance(cursor) {
-                        Some(n) => cursor = n,
-                        None => return self.fallback(pc, cursor, None).map(|()| false),
-                    }
-                    if self.shared.stats.retired_insts >= budget_end {
-                        self.mode = EngineMode::Replay { cursor };
-                        return Ok(false);
-                    }
-                }
-                ActionKind::FetchRecord => {
-                    let feed = self.shared.consume_record_feed();
-                    if let Some(e) = self.shared.fatal.take() {
-                        return Err(e);
-                    }
-                    self.shared.resume.responses.push_back(Buffered::Feed(feed));
-                    let key = outcome_of_feed(&feed);
-                    cursor = match pc.branch_to(cursor, key) {
-                        Some(n) => n,
-                        None => return self.fallback(pc, cursor, Some(key)).map(|()| false),
-                    };
-                }
-                ActionKind::IssueLoad { lq_index } => {
-                    let interval = self.shared.do_issue_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Interval(interval));
-                    let key = OutcomeKey::Interval(interval);
-                    cursor = match pc.branch_to(cursor, key) {
-                        Some(n) => n,
-                        None => return self.fallback(pc, cursor, Some(key)).map(|()| false),
-                    };
-                }
-                ActionKind::PollLoad { lq_index } => {
-                    let poll = self.shared.do_poll_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Poll(poll));
-                    let key = match poll {
-                        LoadPoll::Ready => OutcomeKey::PollReady,
-                        LoadPoll::Wait(w) => OutcomeKey::PollWait(w),
-                    };
-                    cursor = match pc.branch_to(cursor, key) {
-                        Some(n) => n,
-                        None => return self.fallback(pc, cursor, Some(key)).map(|()| false),
-                    };
-                }
-                ActionKind::IssueStore { sq_index } => {
-                    self.shared.do_issue_store(sq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Store);
-                    match pc.advance(cursor) {
-                        Some(n) => cursor = n,
-                        None => return self.fallback(pc, cursor, None).map(|()| false),
-                    }
-                }
-                ActionKind::CancelLoad { lq_index } => {
-                    self.shared.do_cancel_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Cancel);
-                    match pc.advance(cursor) {
-                        Some(n) => cursor = n,
-                        None => return self.fallback(pc, cursor, None).map(|()| false),
-                    }
-                }
-                ActionKind::Rollback { ctrl_index } => {
-                    let redirect = self.shared.do_rollback(ctrl_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Rollback(redirect));
-                    match pc.advance(cursor) {
-                        Some(n) => cursor = n,
-                        None => return self.fallback(pc, cursor, None).map(|()| false),
+                        Some(n) if paused => {
+                            self.mode = EngineMode::Replay { cursor: n };
+                            return Ok(false);
+                        }
+                        next => (next, None),
                     }
                 }
                 ActionKind::Finish => {
@@ -1154,15 +1091,24 @@ impl Simulator {
                     self.mode = EngineMode::Finished;
                     return Ok(true);
                 }
-            }
+                env => match self.shared.replay(env)? {
+                    Some(key) => (pc.branch_to(cursor, key), Some(key)),
+                    None => (pc.advance(cursor), None),
+                },
+            };
+            cursor = match next {
+                Some(n) => n,
+                None => return self.fallback(pc, cursor, key).map(|()| false),
+            };
         }
     }
 
     /// Executes compiled trace segments: a linear op scan with no
     /// per-action node lookups. Every statistic, resume-state update and
     /// `accessed` mark is performed exactly as the node-at-a-time loop
-    /// would for the same logical actions — segment execution is
-    /// observably bit-identical to walking the chain.
+    /// would for the same logical actions, through the same helpers and
+    /// the same executor — segment execution is observably bit-identical
+    /// to walking the chain.
     ///
     /// A carried cold edge or a cut does not necessarily end execution:
     /// when the exit target has (or, for hot mid-chain targets, earns) a
@@ -1191,10 +1137,7 @@ impl Simulator {
             ($anchored:expr, $node:expr) => {
                 if $anchored {
                     last_anchor = Some($node);
-                    self.shared.resume.cycles = 0;
-                    self.shared.resume.pops = RetireCounts::default();
-                    self.shared.resume.responses.clear();
-                    self.shared.stats.config_visits += 1;
+                    self.shared.cross_config();
                 }
             };
         }
@@ -1213,6 +1156,26 @@ impl Simulator {
                     None => break Ok(SegExit::Continue($n)),
                 }
             };
+        }
+        // One environment-action op: what node-at-a-time replay does for
+        // the node, then the action through the shared executor; a
+        // dispatch op (`Some(edges)`) follows the observed outcome.
+        // Expanded per op, so every arm replays a constant action kind.
+        macro_rules! action_op {
+            ($node:expr, $anchored:expr, $kind:expr, $edges:expr) => {{
+                crossing!($anchored, $node);
+                pc.mark_accessed($node);
+                self.count_replayed(1);
+                match (self.shared.replay($kind), $edges) {
+                    (Err(e), _) => break Err(e),
+                    (Ok(Some(key)), Some(edges)) => match dispatch(seg.edges_slice(edges), key) {
+                        Dispatch::Hot => ip += 1,
+                        Dispatch::Cold(n) => chain_or_exit!(n),
+                        Dispatch::Uncarried => break Ok(SegExit::Branch { node: $node, key }),
+                    },
+                    (Ok(_), _) => ip += 1,
+                }
+            }};
         }
         let result = loop {
             ops_run += 1;
@@ -1233,110 +1196,36 @@ impl Simulator {
                             }
                         }
                     }
+                    self.count_replayed(count);
                     let retired = seg.retires[retired as usize];
-                    self.shared.stats.dynamic_actions += u64::from(count);
-                    self.shared.stats.replayed_actions += u64::from(count);
-                    self.chain_len += u64::from(count);
-                    self.shared.stats.cycles += u64::from(cycles);
-                    self.shared.stats.replayed_cycles += u64::from(cycles);
-                    self.shared.apply_retire(retired, true);
-                    self.shared.resume.cycles += cycles;
-                    self.shared.resume.pops.add(retired);
-                    if retired.insts > 0 {
-                        self.last_progress = self.shared.stats.cycles;
-                    }
+                    let paused = self.replay_advance(cycles, retired, budget_end);
                     ip += 1;
-                    if self.shared.stats.retired_insts >= budget_end {
+                    if paused {
                         break Ok(SegExit::Budget(seg.entry_node(ip)));
                     }
                 }
                 TraceOp::IssueStore { node, sq_index, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    self.shared.do_issue_store(sq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Store);
-                    ip += 1;
+                    action_op!(node, anchored, ActionKind::IssueStore { sq_index }, None)
                 }
                 TraceOp::CancelLoad { node, lq_index, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    self.shared.do_cancel_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Cancel);
-                    ip += 1;
+                    action_op!(node, anchored, ActionKind::CancelLoad { lq_index }, None)
                 }
                 TraceOp::Rollback { node, ctrl_index, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let redirect = self.shared.do_rollback(ctrl_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Rollback(redirect));
-                    ip += 1;
+                    action_op!(node, anchored, ActionKind::Rollback { ctrl_index }, None)
                 }
                 TraceOp::Fetch { node, edges, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let feed = self.shared.consume_record_feed();
-                    if let Some(e) = self.shared.fatal.take() {
-                        break Err(e);
-                    }
-                    self.shared.resume.responses.push_back(Buffered::Feed(feed));
-                    let key = outcome_of_feed(&feed);
-                    match dispatch(seg.edges_slice(edges), key) {
-                        Dispatch::Hot => ip += 1,
-                        Dispatch::Cold(n) => chain_or_exit!(n),
-                        Dispatch::Uncarried => break Ok(SegExit::Branch { node, key }),
-                    }
+                    action_op!(node, anchored, ActionKind::FetchRecord, Some(edges))
                 }
                 TraceOp::IssueLoad { node, lq_index, edges, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let interval = self.shared.do_issue_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Interval(interval));
-                    let key = OutcomeKey::Interval(interval);
-                    match dispatch(seg.edges_slice(edges), key) {
-                        Dispatch::Hot => ip += 1,
-                        Dispatch::Cold(n) => chain_or_exit!(n),
-                        Dispatch::Uncarried => break Ok(SegExit::Branch { node, key }),
-                    }
+                    action_op!(node, anchored, ActionKind::IssueLoad { lq_index }, Some(edges))
                 }
                 TraceOp::PollLoad { node, lq_index, edges, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let poll = self.shared.do_poll_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Poll(poll));
-                    let key = match poll {
-                        LoadPoll::Ready => OutcomeKey::PollReady,
-                        LoadPoll::Wait(w) => OutcomeKey::PollWait(w),
-                    };
-                    match dispatch(seg.edges_slice(edges), key) {
-                        Dispatch::Hot => ip += 1,
-                        Dispatch::Cold(n) => chain_or_exit!(n),
-                        Dispatch::Uncarried => break Ok(SegExit::Branch { node, key }),
-                    }
+                    action_op!(node, anchored, ActionKind::PollLoad { lq_index }, Some(edges))
                 }
                 TraceOp::Finish { node, anchored } => {
                     crossing!(anchored, node);
                     pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
+                    self.count_replayed(1);
                     break Ok(SegExit::Finished);
                 }
                 TraceOp::Cut { node } => chain_or_exit!(node),
@@ -1344,12 +1233,41 @@ impl Simulator {
             }
         };
         if let Some(a) = last_anchor {
-            let cfg = pc.config_at(a).expect("anchor op sits on a config head");
-            self.anchor.clear();
-            self.anchor.extend_from_slice(cfg);
+            self.set_anchor(pc, a);
         }
         pc.note_trace_ops(ops_run);
         result
+    }
+
+    /// Counts `n` replayed logical actions (one node, or a `Bulk` run).
+    #[inline(always)]
+    fn count_replayed(&mut self, n: u32) {
+        self.shared.stats.dynamic_actions += u64::from(n);
+        self.shared.stats.replayed_actions += u64::from(n);
+        self.chain_len += u64::from(n);
+    }
+
+    /// Replays `cycles` cycles retiring `retired` (one `Advance` action, or
+    /// a `Bulk` run of them); returns whether the budget is reached.
+    #[inline(always)]
+    fn replay_advance(&mut self, cycles: u32, retired: RetireCounts, budget_end: u64) -> bool {
+        let s = &mut self.shared;
+        s.stats.cycles += u64::from(cycles);
+        s.stats.replayed_cycles += u64::from(cycles);
+        s.apply_retire(retired, true);
+        s.resume.cycles += cycles;
+        s.resume.pops.add(retired);
+        if retired.insts > 0 {
+            self.last_progress = s.stats.cycles;
+        }
+        s.stats.retired_insts >= budget_end
+    }
+
+    /// Makes the configuration at head `node` the fallback anchor.
+    fn set_anchor(&mut self, pc: &PActionCache, node: NodeId) {
+        let cfg = pc.config_at(node).expect("anchor sits on a config head");
+        self.anchor.clear();
+        self.anchor.extend_from_slice(cfg);
     }
 
     fn close_chain(&mut self) {

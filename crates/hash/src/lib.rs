@@ -17,6 +17,12 @@
 //! pure integer arithmetic with a pinned reference vector so the function
 //! can never drift silently (frozen snapshots and merge determinism rely
 //! on equal bytes hashing equally on every platform).
+//!
+//! It also holds the workspace's one FNV-1a fold ([`FNV1A_OFFSET`],
+//! [`fnv1a_lane`], [`fnv1a`]), behind the warm-cache fingerprint, the
+//! trace-segment fingerprints and the job journal's record checksums.
+
+#![deny(missing_docs)]
 
 /// Multiplier from FxHash (the golden-ratio constant also used by
 /// SplitMix64's increment), applied per 8-byte lane.
@@ -59,6 +65,26 @@ pub fn hash64(bytes: &[u8]) -> u64 {
     avalanche(h)
 }
 
+/// FNV-1a-64 offset basis: the state a fold starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a-64 step over a whole `u64` lane: xor it in, multiply by the
+/// FNV prime. Fingerprints of structured values fold one lane per field.
+#[inline]
+pub fn fnv1a_lane(h: &mut u64, lane: u64) {
+    *h = (*h ^ lane).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+/// Standard byte-wise FNV-1a-64 of `bytes`: the lane step fed one byte at
+/// a time.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = FNV1A_OFFSET;
+    for &b in bytes {
+        fnv1a_lane(&mut h, u64::from(b));
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +98,15 @@ mod tests {
         assert_eq!(hash64(b"a"), 0x04c0_129e_3000_0708);
         assert_eq!(hash64(b"fastsim"), 0x19f0_5034_c649_ed09);
         assert_eq!(hash64(&[0u8; 16]), 0x77b0_b330_43f6_7b16);
+    }
+
+    /// The journal's record checksums are byte-wise FNV-1a-64 on disk: pin
+    /// the standard test vectors.
+    #[test]
+    fn fnv1a_standard_vectors_pinned() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

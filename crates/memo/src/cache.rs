@@ -94,12 +94,13 @@ pub struct MemoStats {
     /// (a cold or unseen outcome, or a chain cut).
     pub replay_bailouts: u64,
     /// Segment exits that continued directly into another compiled segment
-    /// through a chain link instead of bailing out to node-at-a-time
-    /// replay (superblock chaining).
+    /// instead of bailing out to node-at-a-time replay (superblock
+    /// chaining).
     pub chained_exits: u64,
-    /// Chained transitions that went through an already-patched chain link
-    /// — the segment→segment fast path. First-time transitions patch the
-    /// link and count only in
+    /// Chained transitions into a target some earlier chained transition
+    /// already entered since the last chain-stamp reset. A counter only:
+    /// such a transition executes exactly like the first one, which stamps
+    /// the target and counts only in
     /// [`chained_exits`](MemoStats::chained_exits).
     pub chain_follows: u64,
     /// Compiled segments revived from a snapshot at thaw (after
@@ -192,13 +193,13 @@ pub struct PActionCache {
     /// [`set_hotness_threshold`](PActionCache::set_hotness_threshold)).
     pub(crate) hotness_threshold: u32,
     /// Chain-link stamps, parallel to `nodes`: a stamp equal to
-    /// `chain_epoch` marks a patched segment→segment link at this node —
-    /// a segment exiting through a carried cold edge (or a cut) whose
-    /// target carries this stamp continues directly in the target's
-    /// compiled segment without touching the node arena. Bumping the
-    /// epoch severs every link at once; links follow the same
-    /// flush/collect/merge discipline as the segments themselves. Not
-    /// counted in modeled cache bytes (side table, like `traces`).
+    /// `chain_epoch` marks a node a chained transition has already entered
+    /// since the last reset. The stamp changes no behaviour:
+    /// `chain_enter` continues in `traces[n]` whether or not it matches,
+    /// and the stamp only decides whether the transition also counts in
+    /// [`MemoStats::chain_follows`]. Bumping the epoch resets every stamp
+    /// at once, on each flush, collect and merge. Not counted in modeled
+    /// cache bytes (side table, like `traces`).
     pub(crate) chain_stamp: Vec<u32>,
     /// The epoch `chain_stamp` entries are valid against (never `0`, so a
     /// zeroed stamp is always unpatched).

@@ -73,7 +73,7 @@ pub struct CacheSnapshot {
     /// Trace hotness counters at freeze time, parallel to `nodes` (merged
     /// by element-wise max, which is order-independent).
     pub(crate) hotness: Vec<u32>,
-    /// Which nodes had a patched chain link at freeze time, parallel to
+    /// Which nodes carried a current chain stamp at freeze time, parallel to
     /// `nodes` (stamps are epoch-relative and do not serialize; a bool
     /// per node does — thaw re-stamps them against its fresh epoch).
     pub(crate) chained: Vec<bool>,
@@ -417,8 +417,7 @@ impl PActionCache {
         // (filled links and new branches are additions the segments
         // either carry or cut/fall back through — see the trace module
         // docs), so grow the side tables instead of dropping them. Chain
-        // links are severed (epoch bump) and re-patch against the merged
-        // graph.
+        // stamps are reset (epoch bump).
         self.grow_trace_tables_after_merge();
         // Import the delta's compiled segments that live entirely inside
         // the shared base prefix: ids there are identical on both sides,

@@ -55,10 +55,12 @@
 //!
 //! A segment exit through a carried cold edge or a cut does not have to
 //! bounce through node-at-a-time replay:
-//! [`chain_enter`](PActionCache::chain_enter) patches a direct
-//! segment→segment link (an epoch-stamped entry in a dense side table)
-//! to the exit target's compiled segment, so hot loops and call/return
-//! ladders run segment-to-segment without touching the node arena.
+//! [`chain_enter`](PActionCache::chain_enter) continues directly in the
+//! exit target's compiled segment (one load from the dense `traces`
+//! table), so hot loops and call/return ladders run segment-to-segment
+//! without touching the node arena. An epoch stamp per target only tells
+//! a repeated transition from a first one, for the
+//! [`chain_follows`](crate::MemoStats::chain_follows) counter.
 //! Targets without a segment are compiled on the spot — the
 //! next-executing-tail heuristic from dynamic binary translation:
 //! control only reaches a chain target out of an already-hot segment, so
@@ -81,7 +83,7 @@
 //! # Lifecycle
 //!
 //! Segments never dangle: they are invalidated (together with the hotness
-//! counters and chain links) by [`flush`](PActionCache::flush) and
+//! counters and chain stamps) by [`flush`](PActionCache::flush) and
 //! [`collect`](PActionCache::collect) — node ids relocate there. Plain
 //! appends (new recording) keep existing segments valid by construction:
 //! filled links and new edges are only ever *added*, and cuts/uncarried
@@ -93,12 +95,12 @@
 //! [`TraceSegment::fp`] and prefix-checking dispatch edges), and a merge
 //! imports the delta's segments that live entirely inside the shared base
 //! prefix, so refrozen masters and served warm caches stop recompiling
-//! from scratch every merge cycle. Chain links are severed (one epoch
-//! bump) on every flush/collect/merge and re-patch on the next
-//! segment-to-segment transition; a freeze carries them as per-node bits.
+//! from scratch every merge cycle. Chain stamps are reset (one epoch bump)
+//! on every flush/collect/merge; a freeze carries them as per-node bits.
 
 use crate::action::{ActionKind, NodeId, OutcomeKey, RetireCounts};
 use crate::cache::{PActionCache, Successors};
+use fastsim_hash::{fnv1a_lane, FNV1A_OFFSET};
 use std::sync::Arc;
 
 /// Default hotness threshold: a configuration's chain is trace-compiled
@@ -394,54 +396,45 @@ struct BulkAcc {
     anchored: bool,
 }
 
-/// Seed of a segment fingerprint (FNV-1a offset basis).
-const FP_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one 64-bit lane into a segment fingerprint (FNV-1a).
-#[inline]
-fn fp_eat(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
-/// Folds a covered node's identity and action into a segment fingerprint.
+/// Folds a covered node's identity and action into a segment fingerprint
+/// (FNV-1a, one lane per field, from [`FNV1A_OFFSET`]).
 /// Hashing the full action payload (not just the discriminant) means a
 /// revalidation pass detects any arena whose covered nodes would replay
 /// differently from the arena the segment was compiled against.
 fn fp_eat_node(h: &mut u64, n: NodeId, kind: &ActionKind) {
-    fp_eat(h, u64::from(n));
+    fnv1a_lane(h, u64::from(n));
     match *kind {
         ActionKind::Advance { cycles, retired } => {
-            fp_eat(h, 1);
-            fp_eat(h, u64::from(cycles));
-            fp_eat(h, u64::from(retired.insts));
-            fp_eat(h, u64::from(retired.loads));
-            fp_eat(h, u64::from(retired.stores));
-            fp_eat(h, u64::from(retired.ctrls));
-            fp_eat(h, u64::from(retired.branches));
+            fnv1a_lane(h, 1);
+            fnv1a_lane(h, u64::from(cycles));
+            fnv1a_lane(h, u64::from(retired.insts));
+            fnv1a_lane(h, u64::from(retired.loads));
+            fnv1a_lane(h, u64::from(retired.stores));
+            fnv1a_lane(h, u64::from(retired.ctrls));
+            fnv1a_lane(h, u64::from(retired.branches));
         }
-        ActionKind::FetchRecord => fp_eat(h, 2),
+        ActionKind::FetchRecord => fnv1a_lane(h, 2),
         ActionKind::IssueLoad { lq_index } => {
-            fp_eat(h, 3);
-            fp_eat(h, u64::from(lq_index));
+            fnv1a_lane(h, 3);
+            fnv1a_lane(h, u64::from(lq_index));
         }
         ActionKind::PollLoad { lq_index } => {
-            fp_eat(h, 4);
-            fp_eat(h, u64::from(lq_index));
+            fnv1a_lane(h, 4);
+            fnv1a_lane(h, u64::from(lq_index));
         }
         ActionKind::IssueStore { sq_index } => {
-            fp_eat(h, 5);
-            fp_eat(h, u64::from(sq_index));
+            fnv1a_lane(h, 5);
+            fnv1a_lane(h, u64::from(sq_index));
         }
         ActionKind::CancelLoad { lq_index } => {
-            fp_eat(h, 6);
-            fp_eat(h, u64::from(lq_index));
+            fnv1a_lane(h, 6);
+            fnv1a_lane(h, u64::from(lq_index));
         }
         ActionKind::Rollback { ctrl_index } => {
-            fp_eat(h, 7);
-            fp_eat(h, u64::from(ctrl_index));
+            fnv1a_lane(h, 7);
+            fnv1a_lane(h, u64::from(ctrl_index));
         }
-        ActionKind::Finish => fp_eat(h, 8),
+        ActionKind::Finish => fnv1a_lane(h, 8),
     }
 }
 
@@ -543,8 +536,11 @@ impl PActionCache {
     }
 
     /// A segment exited through a carried cold edge or a cut at `n`:
-    /// returns the segment to continue in directly (patching the chain
-    /// link), or `None` to bail out to node-at-a-time replay.
+    /// returns `n`'s segment to continue in directly, or `None` to bail
+    /// out to node-at-a-time replay. The result does not depend on `n`'s
+    /// chain stamp, which only decides whether the transition also counts
+    /// in [`chain_follows`](crate::MemoStats::chain_follows) (and stamps
+    /// `n` when it does not).
     ///
     /// Targets without a compiled segment are compiled *immediately* —
     /// the next-executing-tail heuristic from dynamic binary translation:
@@ -612,7 +608,7 @@ impl PActionCache {
         self.stats.replay_trace_ops += ops;
     }
 
-    /// Drops every compiled segment, hotness counter and chain link,
+    /// Drops every compiled segment, hotness counter and chain stamp,
     /// re-sizing the dense side tables to the current arena. Called by
     /// `flush` and `collect` (node ids relocate) — always *after* the
     /// node arena reached its new shape.
@@ -631,8 +627,8 @@ impl PActionCache {
     /// Grows the trace side tables after a merge appended nodes,
     /// *preserving* the master's compiled segments and hotness counters —
     /// merged growth is append-only, which keeps existing segments valid
-    /// by construction (see the module docs) — while severing every chain
-    /// link (one epoch bump) so links re-patch against the merged graph.
+    /// by construction (see the module docs) — while resetting every chain
+    /// stamp (one epoch bump).
     pub(crate) fn grow_trace_tables_after_merge(&mut self) {
         self.traces.resize(self.nodes.len(), None);
         self.hotness.resize(self.nodes.len(), 0);
@@ -641,7 +637,7 @@ impl PActionCache {
         self.bump_chain_epoch();
     }
 
-    /// Severs every chain link by moving to a fresh epoch. On the (rare)
+    /// Resets every chain stamp by moving to a fresh epoch. On the (rare)
     /// wrap, stale stamps could collide with a reused epoch value, so the
     /// stamp table is cleared once.
     fn bump_chain_epoch(&mut self) {
@@ -665,7 +661,7 @@ impl PActionCache {
         if (seg.max_node as usize) >= self.nodes.len() {
             return false;
         }
-        let mut h: u64 = FP_SEED;
+        let mut h: u64 = FNV1A_OFFSET;
         for op in &seg.ops {
             match *op {
                 TraceOp::Bulk { count, touched, .. } => match touched.kind() {
@@ -742,7 +738,7 @@ impl PActionCache {
         // The revalidation fingerprint (covered nodes in visit order —
         // the same order `segment_valid` recovers from the ops) and the
         // highest node id referenced anywhere.
-        let mut fp: u64 = FP_SEED;
+        let mut fp: u64 = FNV1A_OFFSET;
         let mut max_node: NodeId = head;
         let mut n = head;
         loop {
@@ -1216,8 +1212,8 @@ mod tests {
         assert!(pc.traces[head as usize].is_some(), "the surviving segment is A's");
     }
 
-    /// chain_enter: a compiled target is entered directly (first follow
-    /// patches the link, later follows take the fast path), a mid-chain
+    /// chain_enter: a compiled target is entered directly (the first follow
+    /// stamps it, later follows also count in `chain_follows`), a mid-chain
     /// target earns its own superblock, a config head without a segment
     /// defers to trace_enter, and the knob/threshold disable it.
     #[test]
@@ -1237,10 +1233,10 @@ mod tests {
         let chained = pc.chain_enter(head).expect("chain into compiled head");
         assert!(Arc::ptr_eq(&seg, &chained));
         assert_eq!(pc.stats().chained_exits, 1);
-        assert_eq!(pc.stats().chain_follows, 0, "first follow patches the link");
-        let again = pc.chain_enter(head).expect("patched link");
+        assert_eq!(pc.stats().chain_follows, 0, "first follow stamps the target");
+        let again = pc.chain_enter(head).expect("stamped target");
         assert!(Arc::ptr_eq(&seg, &again));
-        assert_eq!(pc.stats().chain_follows, 1, "second follow is the fast path");
+        assert_eq!(pc.stats().chain_follows, 1, "second follow finds the stamp");
 
         // A mid-chain target compiles its own (unanchored) superblock.
         let mid_seg = pc.chain_enter(mid).expect("mid-chain target compiles at threshold 0");

@@ -61,6 +61,7 @@
 //! the fsync had not returned — so dropping it loses nothing a client was
 //! promised. Everything before it is kept; nothing after it can exist.
 
+use fastsim_hash::fnv1a;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -94,17 +95,6 @@ const KIND_SUBMIT: u8 = 1;
 const KIND_START: u8 = 2;
 const KIND_COMPLETE: u8 = 3;
 const KIND_ABANDON: u8 = 4;
-
-/// FNV-1a over `bytes` (the workspace's standard checksum; inlined here
-/// so the serve crate keeps its dependency set unchanged).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Records

@@ -16,7 +16,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (rustdoc -D warnings on the missing_docs-gated crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-    -p fastsim-core -p fastsim-memo -p fastsim-serve -p fastsim-fuzz
+    -p fastsim-core -p fastsim-memo -p fastsim-serve -p fastsim-fuzz -p fastsim-hash
 
 echo "==> docs link check"
 scripts/check_links.sh

@@ -392,23 +392,44 @@ fn modeled_bytes_unchanged_by_chaining() {
     );
 }
 
-/// Mid-run budget pauses inside a compiled segment resume exactly where
-/// node-at-a-time replay would: chopping a run into tiny slices changes
-/// nothing.
+/// Mid-run budget pauses resume exactly where an uninterrupted run would,
+/// under every replay strategy — node-at-a-time (`u32::MAX`), eager
+/// segments (`0`) and the default threshold — from a cold start and from a
+/// thawed snapshot (the deadline-chunk path of `batch::run_single`):
+/// chopping a run into tiny slices changes nothing.
 #[test]
 fn budget_pauses_inside_segments_are_transparent() {
     let w = by_name("129.compress").expect("workload exists");
     let program = w.program_for_insts(40_000);
+    let mut seed = Simulator::new(&program, Mode::fast()).expect("builds");
+    seed.run_to_completion().expect("completes");
+    let snap = seed.take_warm_cache().expect("fast mode").freeze();
+    let build = |thawed: bool, hotness: u32| {
+        let mut sim = if thawed {
+            let (uarch, hier) = (UArchConfig::table1(), CacheConfig::table1());
+            Simulator::with_warm_snapshot(&program, &snap, uarch, hier)
+        } else {
+            Simulator::new(&program, Mode::fast())
+        }
+        .expect("builds");
+        sim.set_trace_hotness(hotness);
+        sim
+    };
 
-    let mut whole = Simulator::new(&program, Mode::fast()).expect("builds");
-    whole.set_trace_hotness(0);
-    whole.run_to_completion().expect("completes");
-
-    let mut sliced = Simulator::new(&program, Mode::fast()).expect("builds");
-    sliced.set_trace_hotness(0);
-    while !sliced.finished() {
-        sliced.run(500).expect("slice runs");
+    for thawed in [false, true] {
+        for hotness in [u32::MAX, 0, DEFAULT_HOTNESS_THRESHOLD] {
+            let ctx = format!("thawed {thawed}, hotness {hotness}");
+            let mut whole = build(thawed, hotness);
+            whole.run_to_completion().expect("completes");
+            let mut sliced = build(thawed, hotness);
+            while !sliced.finished() {
+                sliced.run(500).expect("slice runs");
+            }
+            assert_eq!(sliced.stats(), whole.stats(), "{ctx}: sliced vs whole SimStats");
+            assert_eq!(sliced.output(), whole.output(), "{ctx}: sliced vs whole output");
+            assert_eq!(sliced.cache_stats(), whole.cache_stats(), "{ctx}: cache stats");
+            let memo = |sim: &Simulator| *sim.memo_stats().expect("fast mode");
+            assert_pre_trace_memo_equal(&memo(&sliced), &memo(&whole), &ctx);
+        }
     }
-    assert_eq!(sliced.stats(), whole.stats(), "sliced vs whole SimStats");
-    assert_eq!(sliced.output(), whole.output(), "sliced vs whole output");
 }
