@@ -11,13 +11,14 @@
 //! crowd. Per tier it records jobs/sec and the active client's p50/p99
 //! end-to-end latency, plus the loop's wakeup/ready-event deltas.
 //!
-//! The pass criterion (`idle_scaling_ok`) is that the largest tier's p99
-//! is no worse than the 64-connection baseline, within a noise tolerance
-//! (1.5× ratio or 5 ms absolute, whichever is more forgiving — the
-//! machine also runs the workers, so a scheduler hiccup must not fail the
-//! sweep spuriously). Tiers that would exceed the process fd limit
-//! (each idle connection costs two fds, client and server end) are
-//! skipped with a note rather than failing.
+//! The pass criterion (`idle_scaling_ok`) is that every tier's p99 is no
+//! worse than the first (baseline) tier's, within a noise tolerance (1.5×
+//! ratio or 5 ms absolute, whichever is more forgiving — the machine also
+//! runs the workers, so a scheduler hiccup must not fail the sweep
+//! spuriously). Both tests grow with a tier's p99, so the slowest tier
+//! decides; the summary and the verdict line name it. Tiers that would
+//! exceed the process fd limit (each idle connection costs two fds,
+//! client and server end) are skipped with a note rather than failing.
 //!
 //! ```text
 //! cargo run --release -p fastsim-bench --bin serve_scale --
@@ -244,19 +245,25 @@ fn main() {
     handle.wait();
     let _ = std::fs::remove_file(&socket);
 
-    // Pass criterion: the biggest crowd must not slow the active client.
+    // Pass criterion: no crowd may slow the active client. The tolerance
+    // grows with a tier's p99, so checking the slowest tier checks all.
     let baseline = &rows[0];
     let top = rows.last().expect("at least one tier");
     let ratio = top.p99_us / baseline.p99_us.max(1e-9);
-    let idle_scaling_ok = ratio <= 1.5 || top.p99_us - baseline.p99_us <= 5_000.0;
+    let worst = rows
+        .iter()
+        .max_by(|a, b| a.p99_us.total_cmp(&b.p99_us))
+        .expect("at least one tier");
+    let worst_ratio = worst.p99_us / baseline.p99_us.max(1e-9);
+    let idle_scaling_ok = worst_ratio <= 1.5 || worst.p99_us - baseline.p99_us <= 5_000.0;
     println!();
     println!(
-        "p99 {} conns {:.0} us vs baseline ({} conns) {:.0} us — ratio {:.3} ({})",
-        top.idle,
-        top.p99_us,
+        "worst p99 {} conns {:.0} us vs baseline ({} conns) {:.0} us — ratio {:.3} ({})",
+        worst.idle,
+        worst.p99_us,
         baseline.idle,
         baseline.p99_us,
-        ratio,
+        worst_ratio,
         if idle_scaling_ok { "ok" } else { "REGRESSION" }
     );
 
@@ -290,6 +297,8 @@ fn main() {
     let _ = writeln!(json, "    \"max_connections_held\": {},", top.held);
     let _ = writeln!(json, "    \"max_tier_p99_us\": {:.1},", top.p99_us);
     let _ = writeln!(json, "    \"p99_ratio_max_over_baseline\": {:.4},", ratio);
+    let _ = writeln!(json, "    \"worst_tier_connections\": {},", worst.idle);
+    let _ = writeln!(json, "    \"worst_p99_ratio_over_baseline\": {:.4},", worst_ratio);
     let _ = writeln!(
         json,
         "    \"skipped_tiers\": [{}],",

@@ -1,7 +1,6 @@
 //! The non-blocking cache hierarchy timing simulator.
 
 use crate::config::{HierarchyConfig, WritePolicy, MAX_LEVELS};
-use std::collections::HashMap;
 
 /// Identifier for an outstanding load, assigned by the caller.
 ///
@@ -222,7 +221,9 @@ pub struct CacheSim {
     levels: Vec<LevelState>,
     /// Cycle at which the split-transaction bus is next free.
     bus_free: u64,
-    in_flight: HashMap<LoadId, InFlight>,
+    /// Outstanding loads, searched linearly: the pipeline polls or cancels
+    /// every load it issues, so the table never outgrows its window.
+    in_flight: Vec<(LoadId, InFlight)>,
     stats: CacheStats,
     level_stats: Vec<LevelStats>,
     #[cfg(debug_assertions)]
@@ -252,7 +253,7 @@ impl CacheSim {
         CacheSim {
             levels,
             bus_free: 0,
-            in_flight: HashMap::new(),
+            in_flight: Vec::new(),
             stats: CacheStats::default(),
             level_stats: vec![LevelStats::default(); hierarchy.levels.len()],
             hierarchy,
@@ -279,6 +280,11 @@ impl CacheSim {
     /// Number of loads currently in flight.
     pub fn outstanding(&self) -> usize {
         self.in_flight.len()
+    }
+
+    /// The `in_flight` slot holding `id`.
+    fn slot(&self, id: LoadId) -> Option<usize> {
+        self.in_flight.iter().position(|&(i, _)| i == id)
     }
 
     #[cfg(debug_assertions)]
@@ -365,13 +371,13 @@ impl CacheSim {
         self.check_time(now);
         let _ = width; // timing model: width does not change latency
         self.stats.loads += 1;
-        assert!(!self.in_flight.contains_key(&id), "load id {id} already in flight");
+        assert!(self.slot(id).is_none(), "load id {id} already in flight");
         let hit_latency = self.hierarchy.levels[0].hit_latency;
         if self.levels[0].tags.access(addr) {
             self.record_hit(0);
             let ready = now + hit_latency as u64;
             let entry = InFlight { addr, phase: Phase::ReadyAt { ready }, mshrs: [0; MAX_LEVELS] };
-            self.in_flight.insert(id, entry);
+            self.in_flight.push((id, entry));
             return hit_latency;
         }
         self.record_miss(0);
@@ -392,7 +398,7 @@ impl CacheSim {
             entry.phase = Phase::Lookup { level: 1, at };
             at - now
         };
-        self.in_flight.insert(id, entry);
+        self.in_flight.push((id, entry));
         interval as u32
     }
 
@@ -408,15 +414,14 @@ impl CacheSim {
     /// Panics if `id` is not in flight.
     pub fn poll_load(&mut self, id: LoadId, now: u64) -> PollResult {
         self.check_time(now);
-        let entry = *self.in_flight.get(&id).unwrap_or_else(|| {
-            panic!("poll of unknown load id {id}");
-        });
+        let slot = self.slot(id).unwrap_or_else(|| panic!("poll of unknown load id {id}"));
+        let entry = self.in_flight[slot].1;
         match entry.phase {
             Phase::ReadyAt { ready } | Phase::MemWait { ready } if now < ready => {
                 PollResult::Wait((ready - now) as u32)
             }
             Phase::ReadyAt { .. } => {
-                self.in_flight.remove(&id);
+                self.in_flight.swap_remove(slot);
                 PollResult::Ready
             }
             Phase::Lookup { level, at } => {
@@ -436,11 +441,10 @@ impl CacheSim {
                     }
                     let ready = at + self.hierarchy.levels[k].hit_latency as u64;
                     if now >= ready {
-                        self.in_flight.remove(&id);
+                        self.in_flight.swap_remove(slot);
                         PollResult::Ready
                     } else {
-                        let phase = Phase::ReadyAt { ready };
-                        self.in_flight.insert(id, InFlight { phase, ..entry });
+                        self.in_flight[slot].1.phase = Phase::ReadyAt { ready };
                         PollResult::Wait((ready - now) as u32)
                     }
                 } else {
@@ -454,7 +458,7 @@ impl CacheSim {
                     if k + 1 == self.levels.len() {
                         let ready = self.start_memory_fetch(&entry, stall, now);
                         entry.phase = Phase::MemWait { ready };
-                        self.in_flight.insert(id, entry);
+                        self.in_flight[slot].1 = entry;
                         PollResult::Wait((ready - now) as u32)
                     } else {
                         let at = now + stall + self.hierarchy.levels[k].miss_latency as u64;
@@ -462,7 +466,7 @@ impl CacheSim {
                             self.levels[j].mshr_free[entry.mshrs[j] as usize] = at;
                         }
                         entry.phase = Phase::Lookup { level: level + 1, at };
-                        self.in_flight.insert(id, entry);
+                        self.in_flight[slot].1 = entry;
                         PollResult::Wait((at - now) as u32)
                     }
                 }
@@ -478,7 +482,7 @@ impl CacheSim {
                 for j in 0..last {
                     self.levels[j].mshr_free[entry.mshrs[j] as usize] = now;
                 }
-                self.in_flight.remove(&id);
+                self.in_flight.swap_remove(slot);
                 PollResult::Ready
             }
         }
@@ -491,7 +495,9 @@ impl CacheSim {
     ///
     /// Unknown ids are ignored (the load may already have completed).
     pub fn cancel_load(&mut self, id: LoadId) {
-        self.in_flight.remove(&id);
+        if let Some(slot) = self.slot(id) {
+            self.in_flight.swap_remove(slot);
+        }
     }
 
     /// Issues a store of `width` bytes at `addr` at cycle `now`.
@@ -673,6 +679,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "poll of unknown load id")]
+    fn poll_of_unknown_id_panics() {
+        let mut c = sim();
+        c.issue_load(7, 0x1000, 4, 0);
+        c.poll_load(8, 10);
+    }
+
+    #[test]
     fn outstanding_tracks_in_flight() {
         let mut c = sim();
         assert_eq!(c.outstanding(), 0);
@@ -813,6 +827,7 @@ mod tests {
 mod randomized_tests {
     use super::*;
     use crate::config::CacheConfig;
+    use fastsim_hash::{fnv1a_lane, FNV1A_OFFSET};
     use fastsim_prng::{for_each_case, Rng};
 
     /// One step of a random access pattern.
@@ -946,5 +961,101 @@ mod randomized_tests {
                 "seed {seed:#x}: lowering is the table1 hierarchy"
             );
         });
+    }
+
+    /// Up to 16 loads in flight at once under sparse, non-monotonic ids,
+    /// each polled only once its last interval has elapsed, interleaved
+    /// with stores and with cancels of both outstanding and never-issued
+    /// ids. Every interval, poll result and final counter folds into one
+    /// digest, pinned so that a change to how loads are tracked cannot
+    /// move the timing.
+    #[test]
+    fn many_loads_in_flight_with_cancels() {
+        const MAX_OUTSTANDING: usize = 16;
+        let mut digest = FNV1A_OFFSET;
+        let mut peak = 0;
+        for_each_case(0x10ad5, 64, |seed, rng| {
+            for h in presets() {
+                let mut c = CacheSim::new(h);
+                // Outstanding loads: (id, address, cycle the last interval ends).
+                let mut live: Vec<(LoadId, u32, u64)> = Vec::new();
+                let mut now = 0u64;
+                for _ in 0..2_000 {
+                    now += rng.range_u64(0..4);
+                    match rng.range_u32(0..10) {
+                        0..=3 if live.len() < MAX_OUTSTANDING => {
+                            // Odd ids from a pool of 256, so completed ids
+                            // come back; an even id is never issued.
+                            let id = loop {
+                                let id =
+                                    rng.range_u64(0..256).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                                if live.iter().all(|&(l, ..)| l != id) {
+                                    break id;
+                                }
+                            };
+                            let addr = rng.range_u32(0..0x8_0000) & !3;
+                            let interval = c.issue_load(id, addr, 4, now);
+                            assert!(interval > 0, "seed {seed:#x}");
+                            fnv1a_lane(&mut digest, u64::from(interval));
+                            live.push((id, addr, now + u64::from(interval)));
+                        }
+                        // A full window polls instead of issuing.
+                        0..=5 if !live.is_empty() => {
+                            let i = rng.range_usize(0..live.len());
+                            now = now.max(live[i].2);
+                            match c.poll_load(live[i].0, now) {
+                                PollResult::Ready => {
+                                    fnv1a_lane(&mut digest, 0);
+                                    live.swap_remove(i);
+                                }
+                                PollResult::Wait(w) => {
+                                    assert!(w > 0, "seed {seed:#x}");
+                                    fnv1a_lane(&mut digest, u64::from(w));
+                                    live[i].2 = now + u64::from(w);
+                                }
+                            }
+                        }
+                        6 => {
+                            if rng.next_bool() && !live.is_empty() {
+                                let i = rng.range_usize(0..live.len());
+                                c.cancel_load(live.swap_remove(i).0);
+                            } else {
+                                c.cancel_load(rng.next_u64() & !1);
+                            }
+                        }
+                        _ => {
+                            // Stores share lines with the loads half the time.
+                            let addr = match live.first() {
+                                Some(&(_, a, _)) if rng.next_bool() => a,
+                                _ => rng.range_u32(0..0x8_0000) & !3,
+                            };
+                            c.issue_store(addr, 4, now);
+                        }
+                    }
+                    assert_eq!(c.outstanding(), live.len(), "seed {seed:#x}");
+                    peak = peak.max(live.len());
+                }
+                let s = *c.stats();
+                for v in [
+                    s.loads,
+                    s.stores,
+                    s.l1_hits,
+                    s.l1_misses,
+                    s.l2_hits,
+                    s.l2_misses,
+                    s.writebacks,
+                    s.mshr_stall_cycles,
+                ] {
+                    fnv1a_lane(&mut digest, v);
+                }
+                for l in c.level_stats() {
+                    for v in [l.hits, l.misses, l.mshr_stall_cycles, l.writebacks] {
+                        fnv1a_lane(&mut digest, v);
+                    }
+                }
+            }
+        });
+        assert_eq!(peak, MAX_OUTSTANDING, "the sweep must fill the window");
+        assert_eq!(digest, 0x968e_958a_31ef_f8c9, "digest {digest:#018x}");
     }
 }

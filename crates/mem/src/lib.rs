@@ -2,8 +2,9 @@
 //!
 //! Memory substrate for the FastSim reproduction:
 //!
-//! * [`Memory`] — sparse, paged target memory used by the functional
-//!   engine (and by the baseline simulator).
+//! * [`Memory`] — sparse target memory behind a two-level page table
+//!   (a directory grown on demand over lazily allocated 1,024-page
+//!   leaves), used by the functional engine and the baseline simulator.
 //! * [`CacheSim`] — the timing-only, aggressive **non-blocking cache
 //!   simulator**: an N-level hierarchy described by a
 //!   [`HierarchyConfig`] (per-level capacity, associativity, latencies,
@@ -27,6 +28,13 @@
 //! (tag arrays, MSHR and bus occupancy) stays private, and its influence on
 //! the µ-architecture re-enters only through the returned intervals, which
 //! the fast-forwarding replayer checks against recorded outcomes.
+//!
+//! Both structures on the per-access path are index-addressed: pages are
+//! found by page number and outstanding loads in a short table bounded by
+//! the pipeline's window, so neither a replayed load nor a memory access
+//! hashes anything.
+
+#![deny(missing_docs)]
 
 mod cache;
 mod config;

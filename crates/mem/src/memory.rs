@@ -1,16 +1,24 @@
-//! Sparse paged target memory.
-
-use std::collections::HashMap;
+//! Sparse paged target memory behind a two-level page table.
 
 /// Size of one memory page in bytes.
 pub const PAGE_BYTES: u32 = 4096;
 
+/// Pages per leaf of the page table: the low 10 bits of a page number
+/// pick the page within its leaf, the top 10 bits the directory slot.
+const LEAF_PAGES: usize = 1024;
+
+type Page = Box<[u8; PAGE_BYTES as usize]>;
+
 /// Sparse byte-addressable target memory.
 ///
-/// Pages are allocated on first touch; reads of untouched memory return
+/// Pages are allocated on first write; reads of untouched memory return
 /// zero, which lets workloads run without an explicit loader zeroing BSS.
 /// All multi-byte accesses are little-endian and may straddle page
-/// boundaries.
+/// boundaries (and wrap from the top of the address space to zero).
+///
+/// Pages are found through a two-level page table: a directory grown on
+/// demand, whose slots hold lazily allocated leaves of 1,024 pages, so an
+/// access costs two indexed loads and hashes nothing.
 ///
 /// # Example
 ///
@@ -25,7 +33,8 @@ pub const PAGE_BYTES: u32 = 4096;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_BYTES as usize]>>,
+    /// Leaves indexed by the top bits of the page number.
+    dir: Vec<Option<Box<[Option<Page>]>>>,
 }
 
 impl Memory {
@@ -34,28 +43,40 @@ impl Memory {
         Memory::default()
     }
 
-    /// Number of pages touched so far.
+    /// Number of pages written so far.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.dir.iter().flatten().flat_map(|leaf| leaf.iter().flatten()).count()
+    }
+
+    /// The page holding `addr`, if it has been written.
+    #[inline]
+    fn page(&self, addr: u32) -> Option<&Page> {
+        let n = (addr / PAGE_BYTES) as usize;
+        self.dir.get(n / LEAF_PAGES)?.as_ref()?[n % LEAF_PAGES].as_ref()
+    }
+
+    /// The page holding `addr`, allocated (zeroed) on first write.
+    #[inline]
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        let n = (addr / PAGE_BYTES) as usize;
+        let d = n / LEAF_PAGES;
+        if d >= self.dir.len() {
+            self.dir.resize_with(d + 1, || None);
+        }
+        let leaf = self.dir[d].get_or_insert_with(|| vec![None; LEAF_PAGES].into_boxed_slice());
+        leaf[n % LEAF_PAGES].get_or_insert_with(|| Box::new([0; PAGE_BYTES as usize]))
     }
 
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        match self.pages.get(&(addr / PAGE_BYTES)) {
-            Some(page) => page[(addr % PAGE_BYTES) as usize],
-            None => 0,
-        }
+        self.page(addr).map_or(0, |page| page[(addr % PAGE_BYTES) as usize])
     }
 
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
-        let page = self
-            .pages
-            .entry(addr / PAGE_BYTES)
-            .or_insert_with(|| Box::new([0; PAGE_BYTES as usize]));
-        page[(addr % PAGE_BYTES) as usize] = value;
+        self.page_mut(addr)[(addr % PAGE_BYTES) as usize] = value;
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
@@ -65,7 +86,7 @@ impl Memory {
         // Fast path: the whole access falls inside one page.
         let off = (addr % PAGE_BYTES) as usize;
         if off + N <= PAGE_BYTES as usize {
-            if let Some(page) = self.pages.get(&(addr / PAGE_BYTES)) {
+            if let Some(page) = self.page(addr) {
                 out.copy_from_slice(&page[off..off + N]);
             }
         } else {
@@ -81,11 +102,7 @@ impl Memory {
     pub fn write_bytes<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
         let off = (addr % PAGE_BYTES) as usize;
         if off + N <= PAGE_BYTES as usize {
-            let page = self
-                .pages
-                .entry(addr / PAGE_BYTES)
-                .or_insert_with(|| Box::new([0; PAGE_BYTES as usize]));
-            page[off..off + N].copy_from_slice(&bytes);
+            self.page_mut(addr)[off..off + N].copy_from_slice(&bytes);
         } else {
             for (i, b) in bytes.iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u32), *b);
@@ -149,7 +166,8 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastsim_prng::Rng;
+    use fastsim_prng::{for_each_case, Rng};
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn zero_before_touch() {
@@ -203,6 +221,57 @@ mod tests {
             m.write_u64(addr, v);
             assert_eq!(m.read_u64(addr), v, "addr {addr:#x}");
         }
+    }
+
+    /// Thousands of mixed-width reads and writes on one `Memory`, aimed at
+    /// page boundaries, the top page and the u32 wrap, agree with a byte
+    /// model; only writes allocate pages.
+    #[test]
+    fn random_accesses_match_a_byte_model() {
+        // Pages on either side of the low end, of a 1,024-page boundary,
+        // in the middle and at the top of the address space.
+        const PAGES: [u32; 8] = [0, 1, 2, 1_023, 1_024, 0x8_0000, 0xf_fffe, 0xf_ffff];
+        for_each_case(0x3e30de1, 64, |seed, rng| {
+            let mut m = Memory::new();
+            let mut model: BTreeMap<u32, u8> = BTreeMap::new();
+            for _ in 0..3_000 {
+                let width = *rng.pick(&[1u32, 2, 4, 8]);
+                let page = *rng.pick(&PAGES) * PAGE_BYTES;
+                let addr = match rng.range_u32(0..5) {
+                    0 => page.wrapping_add(rng.range_u32(0..16)).wrapping_sub(8),
+                    1 => page + rng.range_u32(0..PAGE_BYTES),
+                    2 => u32::MAX - rng.range_u32(0..PAGE_BYTES),
+                    3 => u32::MAX - rng.range_u32(0..8),
+                    _ => rng.next_u32(),
+                };
+                if rng.next_bool() {
+                    let v = rng.next_u64() >> (64 - 8 * width);
+                    match width {
+                        1 => m.write_u8(addr, v as u8),
+                        2 => m.write_u16(addr, v as u16),
+                        4 => m.write_u32(addr, v as u32),
+                        _ => m.write_u64(addr, v),
+                    }
+                    for i in 0..width {
+                        model.insert(addr.wrapping_add(i), (v >> (8 * i)) as u8);
+                    }
+                } else {
+                    let got = match width {
+                        1 => u64::from(m.read_u8(addr)),
+                        2 => u64::from(m.read_u16(addr)),
+                        4 => u64::from(m.read_u32(addr)),
+                        _ => m.read_u64(addr),
+                    };
+                    let want = (0..width).fold(0u64, |acc, i| {
+                        let b = model.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+                        acc | u64::from(b) << (8 * i)
+                    });
+                    assert_eq!(got, want, "seed {seed:#x}: {width}-byte read at {addr:#x}");
+                }
+            }
+            let written: BTreeSet<u32> = model.keys().map(|a| a / PAGE_BYTES).collect();
+            assert_eq!(m.page_count(), written.len(), "seed {seed:#x}");
+        });
     }
 
     #[test]

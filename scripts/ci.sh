@@ -16,7 +16,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (rustdoc -D warnings on the missing_docs-gated crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-    -p fastsim-core -p fastsim-memo -p fastsim-serve -p fastsim-fuzz -p fastsim-hash
+    -p fastsim-core -p fastsim-memo -p fastsim-serve -p fastsim-fuzz -p fastsim-hash \
+    -p fastsim-mem
 
 echo "==> docs link check"
 scripts/check_links.sh
@@ -316,7 +317,7 @@ echo "==> serve scale smoke: 1024 idle connections around an active core"
 # Connection-scaling gate for the event-loop server: park 1024 idle
 # connections on the I/O thread, drive a fixed active client through
 # them, and require (a) the fastsim-serve-scale/v1 schema and (b) the
-# bench's own pass criterion — active-client p99 at the top tier no
+# bench's own pass criterion — active-client p99 at every tier no
 # worse than the small-tier baseline (within its noise tolerance). The
 # bench exits nonzero itself when idle connections slow the active
 # client, so a regression fails this step even before the grep.
