@@ -191,3 +191,134 @@ fn fetch_width_bounds_throughput() {
     // 32 issue cycles + pipeline fill/drain.
     assert!((32..=45).contains(&c), "got {c}");
 }
+
+// ---------------------------------------------------------------------
+// Model pin: the simulated machine's answers on every kernel at every
+// hierarchy preset, committed as a golden table. A change to the timing
+// model moves FastSim and SlowSim together, so the differential oracle
+// cannot see it; this table can.
+// ---------------------------------------------------------------------
+
+/// Path of the committed golden table.
+const MODEL_PIN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/model_pin.tsv");
+
+/// Instructions each pinned run asks its kernel for.
+const MODEL_PIN_INSTS: u64 = 20_000;
+
+/// One tab-separated row per kernel × hierarchy preset: a cold FastSim
+/// run under the Table 1 pipeline, with every `SimStats` field, the
+/// memoization counters that follow from the recorded chains, and each
+/// cache level's counters (`-` where the preset has fewer levels).
+fn model_pin_table() -> String {
+    use fastsim::core::{HierarchyConfig, UArchConfig};
+    const MAX_DEPTH: usize = 3;
+    let mut out = String::from(
+        "preset\tkernel\tcycles\tretired_insts\tretired_loads\tretired_stores\t\
+         retired_branches\tdetailed_insts\treplayed_insts\tdetailed_cycles\t\
+         replayed_cycles\tconfig_visits\tdynamic_actions\treplayed_actions\tchains\t\
+         chain_len_sum\tchain_len_max\tstatic_configs\tstatic_actions\tconfig_hits\t\
+         config_misses\tbytes",
+    );
+    for level in 1..=MAX_DEPTH {
+        for field in ["hits", "misses", "mshr_stall_cycles", "writebacks"] {
+            out.push_str(&format!("\tl{level}_{field}"));
+        }
+    }
+    out.push('\n');
+    for &preset in HierarchyConfig::preset_names() {
+        let hier = HierarchyConfig::preset(preset).expect("named preset");
+        assert!(hier.depth() <= MAX_DEPTH, "{preset}: widen the level columns");
+        for w in fastsim::workloads::all() {
+            let program = w.program_for_insts(MODEL_PIN_INSTS);
+            let mut sim =
+                Simulator::with_configs(&program, Mode::fast(), UArchConfig::table1(), hier.clone())
+                    .expect("simulator builds");
+            sim.run_to_completion().expect("run completes");
+            // Destructured so that a new `SimStats` field fails to compile
+            // here until the pin covers it.
+            let fastsim::core::SimStats {
+                cycles,
+                retired_insts,
+                retired_loads,
+                retired_stores,
+                retired_branches,
+                detailed_insts,
+                replayed_insts,
+                detailed_cycles,
+                replayed_cycles,
+                config_visits,
+                dynamic_actions,
+                replayed_actions,
+                chains,
+                chain_len_sum,
+                chain_len_max,
+            } = *sim.stats();
+            let m = sim.memo_stats().expect("fast mode");
+            let mut row: Vec<String> = vec![preset.to_string(), w.name.to_string()];
+            row.extend(
+                [
+                    cycles,
+                    retired_insts,
+                    retired_loads,
+                    retired_stores,
+                    retired_branches,
+                    detailed_insts,
+                    replayed_insts,
+                    detailed_cycles,
+                    replayed_cycles,
+                    config_visits,
+                    dynamic_actions,
+                    replayed_actions,
+                    chains,
+                    chain_len_sum,
+                    chain_len_max,
+                    m.static_configs,
+                    m.static_actions,
+                    m.config_hits,
+                    m.config_misses,
+                    m.bytes as u64,
+                ]
+                .iter()
+                .map(u64::to_string),
+            );
+            let levels = sim.cache_level_stats();
+            for i in 0..MAX_DEPTH {
+                match levels.get(i) {
+                    Some(l) => row.extend(
+                        [l.hits, l.misses, l.mshr_stall_cycles, l.writebacks]
+                            .iter()
+                            .map(u64::to_string),
+                    ),
+                    None => row.extend(std::iter::repeat_n("-".to_string(), 4)),
+                }
+            }
+            out.push_str(&row.join("\t"));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Regenerates the committed table. Run explicitly after an
+/// *intentional* change to the simulated machine:
+/// `cargo test --test timing regenerate_model_pin -- --ignored`
+#[test]
+#[ignore = "maintenance: rewrites the committed model pin"]
+fn regenerate_model_pin_fixture() {
+    std::fs::write(MODEL_PIN, model_pin_table()).expect("write fixture");
+}
+
+#[test]
+fn model_answers_match_the_committed_pin() {
+    let golden = std::fs::read_to_string(MODEL_PIN).expect("model pin is committed");
+    let fresh = model_pin_table();
+    for (i, (want, got)) in golden.lines().zip(fresh.lines()).enumerate() {
+        assert_eq!(
+            got, want,
+            "row {i} of tests/fixtures/model_pin.tsv changed \
+             (if the model change is intentional: regenerate the pin)"
+        );
+    }
+    assert_eq!(fresh.lines().count(), golden.lines().count(), "row count changed");
+    assert_eq!(fresh, golden, "model pin differs byte for byte");
+}
