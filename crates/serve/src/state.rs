@@ -13,7 +13,7 @@ use fastsim_core::{
     BatchDriver, BatchJob, HierarchyConfig, JobReport, SnapshotStore, WarmCacheSnapshot,
 };
 use fastsim_workloads::Manifest;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -154,8 +154,11 @@ pub struct Completion {
 pub struct Core {
     /// The work queue.
     pub queue: JobQueue,
-    /// All jobs ever admitted, by id.
-    pub jobs: HashMap<u64, JobRecord>,
+    /// All jobs ever admitted, by id. A B-tree rather than a hash map:
+    /// it grows node by node, so admission never pauses to rehash every
+    /// record under the scheduler lock, and the table's memory never
+    /// holds an old and a doubled copy at once.
+    pub jobs: BTreeMap<u64, JobRecord>,
     /// The batch driver owning the master p-action caches.
     pub driver: BatchDriver,
     /// Per-group snapshot control, by fingerprint.
@@ -263,7 +266,7 @@ impl ServerState {
             }
         }
         let mut queue = JobQueue::new(cfg.queue_capacity);
-        let mut jobs = HashMap::new();
+        let mut jobs = BTreeMap::new();
         let mut next_id = 1u64;
         let journal = cfg.journal_dir.as_ref().and_then(|dir| match Journal::open(dir) {
             Ok((mut journal, recovery)) => {
