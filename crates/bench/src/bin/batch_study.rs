@@ -110,23 +110,18 @@ fn main() {
             report.gc_survival_rate() * 100.0,
         );
         println!(
-            "{:<18} {:>10} {:>10} {:>8} {:>10} {:>10} {:>9} {:>9} {:>8} {:>7}",
-            "job", "cycles", "insts", "hit%", "cfgs+", "dedup", "segments", "bailouts", "chained",
-            "thawed"
+            "{:<18} {:>10} {:>10} {:>8} {:>10} {:>10}",
+            "job", "cycles", "insts", "hit%", "cfgs+", "dedup"
         );
         for j in &report.jobs {
             println!(
-                "{:<18} {:>10} {:>10} {:>7.1}% {:>10} {:>10} {:>9} {:>9} {:>8} {:>7}",
+                "{:<18} {:>10} {:>10} {:>7.1}% {:>10} {:>10}",
                 j.name,
                 j.stats.cycles,
                 j.stats.retired_insts,
                 j.hit_rate() * 100.0,
                 j.merge.configs_added,
                 j.merge.configs_deduped,
-                j.memo.replay_segments_entered,
-                j.memo.replay_bailouts,
-                j.memo.chained_exits,
-                j.memo.segments_thawed,
             );
         }
         // Per-level cache behaviour, summed over the fleet (every job in a

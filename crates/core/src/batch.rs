@@ -55,9 +55,7 @@ use crate::error::{BuildError, SimError};
 use crate::stats::SimStats;
 use fastsim_isa::Program;
 use fastsim_mem::{CacheConfig, CacheStats, HierarchyConfig, LevelStats};
-use fastsim_memo::{
-    CacheSnapshot, MemoStats, MergeOutcome, PActionCache, Policy, DEFAULT_HOTNESS_THRESHOLD,
-};
+use fastsim_memo::{CacheSnapshot, MemoStats, MergeOutcome, PActionCache, Policy};
 use fastsim_uarch::UArchConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,10 +78,9 @@ pub struct BatchJob {
     /// share one master cache whose policy is fixed by the first job seen
     /// for that group.
     pub policy: Policy,
-    /// Trace-compilation hotness threshold for this job's private working
-    /// cache (`u32::MAX` disables trace-compiled replay). Segments the job
-    /// compiles ride in its delta, and the merge into the shared master
-    /// imports those that cover only nodes inherited from the snapshot.
+    /// Inert: never read, `u32::MAX` by default. Trace-compiled replay no
+    /// longer exists; the field is kept only so that `perfbench/` builds
+    /// unchanged.
     pub trace_hotness: u32,
 }
 
@@ -97,7 +94,7 @@ impl BatchJob {
             uarch: UArchConfig::table1(),
             hierarchy: CacheConfig::table1().into(),
             policy: Policy::Unbounded,
-            trace_hotness: DEFAULT_HOTNESS_THRESHOLD,
+            trace_hotness: u32::MAX,
         }
     }
 
@@ -330,7 +327,6 @@ pub fn run_single(
     let mut sim =
         Simulator::with_warm_snapshot(&job.program, snapshot, job.uarch, job.hierarchy.clone())
             .map_err(JobFailure::Build)?;
-    sim.set_trace_hotness(job.trace_hotness);
     match deadline {
         None => sim.run_to_completion().map_err(JobFailure::Sim)?,
         Some(d) => loop {

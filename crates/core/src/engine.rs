@@ -3,8 +3,8 @@
 //!
 //! One executor, `Shared::perform`, is the only place an action meets the
 //! environment (the emulator and the cache simulator): detailed recording
-//! (`Shared::respond`) and both replay paths, node-at-a-time and trace
-//! segments (`Shared::replay`), call it.
+//! (`Shared::respond`) and replay (`Shared::replay`) both call it, and one
+//! loop, `Simulator::replay_loop`, walks the recorded action chains.
 
 use crate::error::{BuildError, SimError};
 use crate::stats::SimStats;
@@ -14,7 +14,7 @@ use fastsim_isa::{DecodedProgram, Program};
 use fastsim_mem::{CacheConfig, CacheSim, CacheStats, HierarchyConfig, LevelStats, PollResult};
 use fastsim_memo::{
     ActionKind, CacheSnapshot, ConfigLookup, MemoStats, NodeId, OutcomeKey, PActionCache, Policy,
-    RetireCounts, TouchedKind, TraceOp, TraceSegment,
+    RetireCounts,
 };
 use fastsim_uarch::{
     decode_config, encode_config_into, CycleSummary, LoadPoll, Pipeline, PipelineEnv,
@@ -154,14 +154,13 @@ impl WarmCacheSnapshot {
         &self.snapshot
     }
 
-    /// Encodes the snapshot — fingerprint and all, compiled trace segments
-    /// and hotness included — into the durable `fastsim-snapshot/v1` byte
-    /// format ([`fastsim_memo::encode_snapshot`]).
+    /// Encodes the snapshot, fingerprint and all, into the durable
+    /// `fastsim-snapshot/v2` byte format ([`fastsim_memo::encode_snapshot`]).
     pub fn encode(&self) -> Vec<u8> {
         fastsim_memo::encode_snapshot(&self.snapshot, self.fingerprint)
     }
 
-    /// Decodes a `fastsim-snapshot/v1` byte stream back into a shareable
+    /// Decodes a `fastsim-snapshot/v2` byte stream back into a shareable
     /// snapshot.
     ///
     /// With `expected_fingerprint`, a snapshot recorded under any other
@@ -612,44 +611,6 @@ enum EngineMode {
     Finished,
 }
 
-/// Why trace-segment execution returned to the replay loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SegExit {
-    /// Segment over (chain cut or a carried cold edge): continue
-    /// node-at-a-time replay at this not-yet-executed node.
-    Continue(NodeId),
-    /// A dispatch observed an outcome the segment does not carry: resolve
-    /// `key` against `node`'s live edges (replay a branch recorded after
-    /// compilation, or fall back to detailed simulation).
-    Branch { node: NodeId, key: OutcomeKey },
-    /// The segment replayed a `Finish`: the program is complete.
-    Finished,
-    /// The instruction budget was reached; resume replay at this node.
-    Budget(NodeId),
-}
-
-/// How a segment dispatch op resolved an observed outcome against its
-/// compiled edges.
-enum Dispatch {
-    /// The hot (first compiled) edge: execution continues inline.
-    Hot,
-    /// Another compiled edge: exit the segment to its target.
-    Cold(NodeId),
-    /// Not compiled into the segment: consult the live node.
-    Uncarried,
-}
-
-#[inline]
-fn dispatch(edges: &[(OutcomeKey, NodeId)], key: OutcomeKey) -> Dispatch {
-    if edges[0].0 == key {
-        return Dispatch::Hot;
-    }
-    match edges[1..].iter().find(|(k, _)| *k == key) {
-        Some(&(_, n)) => Dispatch::Cold(n),
-        None => Dispatch::Uncarried,
-    }
-}
-
 /// The complete FastSim simulator (Figure 2): speculative
 /// direct-execution, µ-architecture simulation, non-blocking cache
 /// simulation and (in [`Mode::Fast`]) memoized fast-forwarding.
@@ -683,8 +644,13 @@ pub struct Simulator {
     pipeline: Pipeline,
     shared: Shared,
     mode: EngineMode,
-    /// Encoded bytes of the last configuration crossed (fallback anchor).
-    anchor: Vec<u8>,
+    /// The last configuration head replay crossed: the fallback anchor,
+    /// kept as a node id rather than a copy of the configuration's bytes.
+    /// Nothing relocates or drops a node between a crossing and the
+    /// fallback or budget-pause resume that reads it: the replacement
+    /// policy runs only on a [`PActionCache::register_config`] miss, which
+    /// happens in detailed mode.
+    anchor: NodeId,
     /// Reusable scratch buffer for per-cycle configuration encoding: the
     /// hot path never allocates once this reaches steady-state capacity.
     scratch: Vec<u8>,
@@ -772,7 +738,7 @@ impl Simulator {
             },
             prog,
             mode: EngineMode::Detailed,
-            anchor: Vec::new(),
+            anchor: 0,
             scratch: Vec::new(),
             chain_len: 0,
             last_progress: 0,
@@ -886,19 +852,9 @@ impl Simulator {
         self.shared.pcache.as_ref().map(|p| p.stats())
     }
 
-    /// Sets the p-action cache's trace-compilation hotness threshold: a
-    /// configuration's chain is flattened into a linear replay segment
-    /// once replay has entered it more than `threshold` times. `0`
-    /// compiles every chain on first replay; `u32::MAX` disables trace
-    /// compilation entirely, including execution of segments revived
-    /// from a warm snapshot. Purely a performance knob — simulation
-    /// results and all pre-existing statistics are bit-identical at any
-    /// setting. No effect in [`Mode::Slow`].
-    pub fn set_trace_hotness(&mut self, threshold: u32) {
-        if let Some(pc) = &mut self.shared.pcache {
-            pc.set_hotness_threshold(threshold);
-        }
-    }
+    /// Inert: does nothing. Trace-compiled replay no longer exists; the
+    /// method is kept only so that `perfbench/` builds unchanged.
+    pub fn set_trace_hotness(&mut self, _threshold: u32) {}
 
     /// Branch-predictor statistics.
     pub fn predictor(&self) -> &fastsim_emu::BranchPredictor {
@@ -1031,49 +987,13 @@ impl Simulator {
         budget_end: u64,
     ) -> Result<bool, SimError> {
         loop {
-            // Crossing a configuration: trace-compiled fast path, or (for
-            // chains not hot yet) a new fallback anchor.
+            // Crossing a configuration: the new fallback anchor.
             if pc.is_config_head(cursor) {
-                if let Some(seg) = pc.trace_enter(cursor) {
-                    match self.run_segment(pc, seg, budget_end)? {
-                        SegExit::Continue(n) => {
-                            // The segment ended (chain cut or a carried cold
-                            // edge): resume node-at-a-time where it left off,
-                            // marking the target like a followed link would.
-                            pc.note_trace_bailout();
-                            pc.mark_accessed(n);
-                            cursor = n;
-                            continue;
-                        }
-                        SegExit::Branch { node, key } => {
-                            // Outcome not carried by the segment: resolve it
-                            // against the node's live edges — recorded-after-
-                            // compilation branches replay, truly unseen
-                            // outcomes fall back, exactly as node-at-a-time.
-                            pc.note_trace_bailout();
-                            cursor = match pc.branch_to(node, key) {
-                                Some(n) => n,
-                                None => return self.fallback(pc, node, Some(key)).map(|()| false),
-                            };
-                            continue;
-                        }
-                        SegExit::Finished => {
-                            self.close_chain();
-                            self.mode = EngineMode::Finished;
-                            return Ok(true);
-                        }
-                        SegExit::Budget(n) => {
-                            pc.mark_accessed(n);
-                            self.mode = EngineMode::Replay { cursor: n };
-                            return Ok(false);
-                        }
-                    }
-                }
-                self.set_anchor(pc, cursor);
+                self.anchor = cursor;
                 self.shared.cross_config();
             }
             let kind = pc.kind(cursor);
-            self.count_replayed(1);
+            self.count_replayed();
             let (next, key) = match kind {
                 ActionKind::Advance { cycles, retired } => {
                     // Only retirement moves the budget: pause at the successor.
@@ -1103,152 +1023,16 @@ impl Simulator {
         }
     }
 
-    /// Executes compiled trace segments: a linear op scan with no
-    /// per-action node lookups. Every statistic, resume-state update and
-    /// `accessed` mark is performed exactly as the node-at-a-time loop
-    /// would for the same logical actions, through the same helpers and
-    /// the same executor — segment execution is observably bit-identical
-    /// to walking the chain.
-    ///
-    /// A carried cold edge or a cut does not necessarily end execution:
-    /// when the exit target has (or, for hot mid-chain targets, earns) a
-    /// compiled segment of its own, execution *chains* — swaps in the
-    /// target's segment and keeps scanning — so hot loops and call/return
-    /// ladders run segment-to-segment without bouncing through the
-    /// node-at-a-time loop (see `PActionCache::chain_enter`).
-    fn run_segment(
-        &mut self,
-        pc: &mut PActionCache,
-        mut seg: Arc<TraceSegment>,
-        budget_end: u64,
-    ) -> Result<SegExit, SimError> {
-        let mut ip = 0usize;
-        let mut ops_run = 0u64;
-        // The anchor *bytes* copy is deferred to segment exit: only the
-        // last crossing's configuration can ever be read (by `fallback`
-        // after a bail-out, or by recording after a budget pause), so a
-        // segment pays one copy per execution instead of one per crossing
-        // — a hot loop replaying inside one segment pays none at all.
-        // Everything else a crossing does (resume reset, visit count) is
-        // still performed per anchored op, before the op's own effects,
-        // in chain order.
-        let mut last_anchor: Option<NodeId> = None;
-        macro_rules! crossing {
-            ($anchored:expr, $node:expr) => {
-                if $anchored {
-                    last_anchor = Some($node);
-                    self.shared.cross_config();
-                }
-            };
-        }
-        // A cold-edge or cut exit whose target chains into another
-        // compiled segment swaps `seg` and restarts the scan there; the
-        // deferred anchor (`last_anchor`) deliberately survives the swap —
-        // the *last* crossing's configuration is still the only one a
-        // later fallback or pause can read, exactly as node-at-a-time.
-        macro_rules! chain_or_exit {
-            ($n:expr) => {
-                match pc.chain_enter($n) {
-                    Some(next) => {
-                        seg = next;
-                        ip = 0;
-                    }
-                    None => break Ok(SegExit::Continue($n)),
-                }
-            };
-        }
-        // One environment-action op: what node-at-a-time replay does for
-        // the node, then the action through the shared executor; a
-        // dispatch op (`Some(edges)`) follows the observed outcome.
-        // Expanded per op, so every arm replays a constant action kind.
-        macro_rules! action_op {
-            ($node:expr, $anchored:expr, $kind:expr, $edges:expr) => {{
-                crossing!($anchored, $node);
-                pc.mark_accessed($node);
-                self.count_replayed(1);
-                match (self.shared.replay($kind), $edges) {
-                    (Err(e), _) => break Err(e),
-                    (Ok(Some(key)), Some(edges)) => match dispatch(seg.edges_slice(edges), key) {
-                        Dispatch::Hot => ip += 1,
-                        Dispatch::Cold(n) => chain_or_exit!(n),
-                        Dispatch::Uncarried => break Ok(SegExit::Branch { node: $node, key }),
-                    },
-                    (Ok(_), _) => ip += 1,
-                }
-            }};
-        }
-        let result = loop {
-            ops_run += 1;
-            // `TraceOp` is `Copy`: reading the op out lets the arms swap
-            // `seg` (chaining) without holding a borrow into it.
-            let op = seg.ops[ip];
-            match op {
-                TraceOp::Bulk { cycles, retired, count, touched, anchored } => {
-                    crossing!(anchored, match touched.kind() {
-                        TouchedKind::Span(first) => first,
-                        TouchedKind::List(start, _) => seg.touched[start as usize],
-                    });
-                    match touched.kind() {
-                        TouchedKind::Span(first) => pc.mark_accessed_span(first, count),
-                        TouchedKind::List(start, len) => {
-                            for &t in seg.touched_slice((start, len)) {
-                                pc.mark_accessed(t);
-                            }
-                        }
-                    }
-                    self.count_replayed(count);
-                    let retired = seg.retires[retired as usize];
-                    let paused = self.replay_advance(cycles, retired, budget_end);
-                    ip += 1;
-                    if paused {
-                        break Ok(SegExit::Budget(seg.entry_node(ip)));
-                    }
-                }
-                TraceOp::IssueStore { node, sq_index, anchored } => {
-                    action_op!(node, anchored, ActionKind::IssueStore { sq_index }, None)
-                }
-                TraceOp::CancelLoad { node, lq_index, anchored } => {
-                    action_op!(node, anchored, ActionKind::CancelLoad { lq_index }, None)
-                }
-                TraceOp::Rollback { node, ctrl_index, anchored } => {
-                    action_op!(node, anchored, ActionKind::Rollback { ctrl_index }, None)
-                }
-                TraceOp::Fetch { node, edges, anchored } => {
-                    action_op!(node, anchored, ActionKind::FetchRecord, Some(edges))
-                }
-                TraceOp::IssueLoad { node, lq_index, edges, anchored } => {
-                    action_op!(node, anchored, ActionKind::IssueLoad { lq_index }, Some(edges))
-                }
-                TraceOp::PollLoad { node, lq_index, edges, anchored } => {
-                    action_op!(node, anchored, ActionKind::PollLoad { lq_index }, Some(edges))
-                }
-                TraceOp::Finish { node, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.count_replayed(1);
-                    break Ok(SegExit::Finished);
-                }
-                TraceOp::Cut { node } => chain_or_exit!(node),
-                TraceOp::Jump { op, .. } => ip = op as usize,
-            }
-        };
-        if let Some(a) = last_anchor {
-            self.set_anchor(pc, a);
-        }
-        pc.note_trace_ops(ops_run);
-        result
-    }
-
-    /// Counts `n` replayed logical actions (one node, or a `Bulk` run).
+    /// Counts one replayed action.
     #[inline(always)]
-    fn count_replayed(&mut self, n: u32) {
-        self.shared.stats.dynamic_actions += u64::from(n);
-        self.shared.stats.replayed_actions += u64::from(n);
-        self.chain_len += u64::from(n);
+    fn count_replayed(&mut self) {
+        self.shared.stats.dynamic_actions += 1;
+        self.shared.stats.replayed_actions += 1;
+        self.chain_len += 1;
     }
 
-    /// Replays `cycles` cycles retiring `retired` (one `Advance` action, or
-    /// a `Bulk` run of them); returns whether the budget is reached.
+    /// Replays one `Advance` action: `cycles` cycles retiring `retired`;
+    /// returns whether the budget is reached.
     #[inline(always)]
     fn replay_advance(&mut self, cycles: u32, retired: RetireCounts, budget_end: u64) -> bool {
         let s = &mut self.shared;
@@ -1261,13 +1045,6 @@ impl Simulator {
             self.last_progress = s.stats.cycles;
         }
         s.stats.retired_insts >= budget_end
-    }
-
-    /// Makes the configuration at head `node` the fallback anchor.
-    fn set_anchor(&mut self, pc: &PActionCache, node: NodeId) {
-        let cfg = pc.config_at(node).expect("anchor sits on a config head");
-        self.anchor.clear();
-        self.anchor.extend_from_slice(cfg);
     }
 
     fn close_chain(&mut self) {
@@ -1288,9 +1065,12 @@ impl Simulator {
         key: Option<OutcomeKey>,
     ) -> Result<(), SimError> {
         self.close_chain();
+        // Decoded before recording re-arms: the anchor's bytes are read
+        // straight from the arena (see `Simulator::anchor`).
+        let cfg = pc.config_at(self.anchor).expect("anchor sits on a config head");
+        let state =
+            decode_config(cfg, &self.prog).map_err(|e| SimError::ConfigCorrupt(e.to_string()))?;
         pc.resume_recording_at(cursor, key);
-        let state = decode_config(&self.anchor, &self.prog)
-            .map_err(|e| SimError::ConfigCorrupt(e.to_string()))?;
         self.pipeline.set_state(state);
         self.mode = EngineMode::Detailed;
         Ok(())

@@ -2,10 +2,9 @@
 //!
 //! [`check`] runs one generated kernel through the detailed baseline
 //! (`Mode::Slow`) and the memoized fast path under a configurable matrix
-//! of hierarchy presets × GC policies × replay strategies (node-at-a-time
-//! vs eagerly and adaptively trace-compiled — the three-way hotness
-//! axis, [`OracleConfig::replay`]), plus a freeze/thaw/merge cycle through
-//! [`BatchDriver`], and demands bit-identical statistics everywhere — the
+//! of hierarchy presets × GC policies, plus a freeze/thaw/merge cycle
+//! through [`BatchDriver`], and demands bit-identical statistics
+//! everywhere — the
 //! paper's central claim, under arbitrary inputs instead of hand-picked
 //! workloads.
 //!
@@ -55,12 +54,6 @@ pub struct OracleConfig {
     pub presets: Vec<String>,
     /// GC policies for the fast runs.
     pub policies: Vec<Policy>,
-    /// Fast-path replay strategies for the fast runs, as trace-compilation
-    /// hotness thresholds: `u32::MAX` replays node-at-a-time (no
-    /// segments), `0` compiles every replayed head at once, and
-    /// [`fastsim_memo::DEFAULT_HOTNESS_THRESHOLD`] is the simulator's
-    /// adaptive default.
-    pub replay: Vec<u32>,
     /// Also require program output to match the plain functional emulator.
     pub check_emulator: bool,
     /// Also require two identical fast runs to produce bit-identical
@@ -75,10 +68,8 @@ pub struct OracleConfig {
 impl OracleConfig {
     /// The full matrix: all three presets, all four GC policies (bounded
     /// ones with a limit small enough that tiny kernels actually trigger
-    /// flushes/collections), the three-way replay axis (node-at-a-time,
-    /// eager segments, the adaptive default threshold), emulator
-    /// cross-check, determinism check, and the batch lifecycle on the
-    /// first preset.
+    /// flushes/collections), emulator cross-check, determinism check, and
+    /// the batch lifecycle on the first preset.
     pub fn thorough() -> OracleConfig {
         let limit = 4 << 10;
         OracleConfig {
@@ -89,7 +80,6 @@ impl OracleConfig {
                 Policy::CopyingGc { limit },
                 Policy::GenerationalGc { limit },
             ],
-            replay: vec![u32::MAX, 0, fastsim_memo::DEFAULT_HOTNESS_THRESHOLD],
             check_emulator: true,
             check_determinism: true,
             freeze_thaw: FreezeThaw::FirstPreset,
@@ -97,14 +87,13 @@ impl OracleConfig {
         }
     }
 
-    /// A single-variant configuration (first preset, unbounded policy,
-    /// default hotness, no lifecycle) — the cheap oracle the shrinker
+    /// A single-variant configuration (first preset, unbounded policy, no
+    /// lifecycle) — the cheap oracle the shrinker
     /// calls hundreds of times.
     pub fn quick() -> OracleConfig {
         OracleConfig {
             presets: vec!["table1".to_string()],
             policies: vec![Policy::Unbounded],
-            replay: vec![fastsim_memo::DEFAULT_HOTNESS_THRESHOLD],
             check_emulator: true,
             check_determinism: false,
             freeze_thaw: FreezeThaw::Off,
@@ -125,7 +114,7 @@ impl Default for OracleConfig {
 pub struct Failure {
     /// Hierarchy preset the divergence appeared under.
     pub preset: String,
-    /// Which run diverged (policy/hotness/lifecycle stage).
+    /// Which run diverged (policy or lifecycle stage).
     pub variant: String,
     /// What differed, with both values.
     pub detail: String,
@@ -194,7 +183,7 @@ pub fn check(spec: &KernelSpec, cfg: &OracleConfig) -> Result<CheckSummary, Fail
         })?;
 
         // The detailed baseline is the ground truth for this preset.
-        let slow = run_variant(&program, Mode::Slow, &hier, None, preset, "slow")?;
+        let slow = run_variant(&program, Mode::Slow, &hier, preset, "slow")?;
         summary.runs += 1;
         summary.retired_insts = slow.stats.retired_insts;
         if let Some(func_out) = &func_output {
@@ -213,57 +202,35 @@ pub fn check(spec: &KernelSpec, cfg: &OracleConfig) -> Result<CheckSummary, Fail
 
         let mut first_fast = true;
         for policy in &cfg.policies {
-            for &hotness in &cfg.replay {
-                let variant = format!("fast({policy:?}, hotness={hotness})");
-                let fast = run_variant(
-                    &program,
-                    Mode::Fast { policy: *policy },
-                    &hier,
-                    Some(hotness),
-                    preset,
-                    &variant,
-                )?;
-                summary.runs += 1;
-                compare(&slow, &fast, cfg.fault, preset, &variant)?;
+            let variant = format!("fast({policy:?})");
+            let fast =
+                run_variant(&program, Mode::Fast { policy: *policy }, &hier, preset, &variant)?;
+            summary.runs += 1;
+            compare(&slow, &fast, cfg.fault, preset, &variant)?;
 
-                // Run-to-run determinism, once per preset: identical
-                // SimStats and bit-identical MemoStats.
-                if cfg.check_determinism && first_fast {
-                    first_fast = false;
-                    let (rerun, rerun_memo) = run_fast_with_memo(
-                        &program,
-                        *policy,
-                        &hier,
-                        hotness,
-                        preset,
-                        "determinism-rerun",
-                    )?;
-                    summary.runs += 1;
-                    if rerun.stats != fast.stats {
-                        return Err(Failure {
-                            preset: preset.clone(),
-                            variant: "determinism-rerun".to_string(),
-                            detail: "two identical fast runs produced different SimStats"
-                                .to_string(),
-                        });
-                    }
-                    let (again, again_memo) = run_fast_with_memo(
-                        &program,
-                        *policy,
-                        &hier,
-                        hotness,
-                        preset,
-                        "determinism-rerun",
-                    )?;
-                    summary.runs += 1;
-                    if again.stats != rerun.stats || again_memo != rerun_memo {
-                        return Err(Failure {
-                            preset: preset.clone(),
-                            variant: "determinism-rerun".to_string(),
-                            detail: "two identical fast runs produced different MemoStats"
-                                .to_string(),
-                        });
-                    }
+            // Run-to-run determinism, once per preset: identical
+            // SimStats and bit-identical MemoStats.
+            if cfg.check_determinism && first_fast {
+                first_fast = false;
+                let (rerun, rerun_memo) =
+                    run_fast_with_memo(&program, *policy, &hier, preset, "determinism-rerun")?;
+                summary.runs += 1;
+                if rerun.stats != fast.stats {
+                    return Err(Failure {
+                        preset: preset.clone(),
+                        variant: "determinism-rerun".to_string(),
+                        detail: "two identical fast runs produced different SimStats".to_string(),
+                    });
+                }
+                let (again, again_memo) =
+                    run_fast_with_memo(&program, *policy, &hier, preset, "determinism-rerun")?;
+                summary.runs += 1;
+                if again.stats != rerun.stats || again_memo != rerun_memo {
+                    return Err(Failure {
+                        preset: preset.clone(),
+                        variant: "determinism-rerun".to_string(),
+                        detail: "two identical fast runs produced different MemoStats".to_string(),
+                    });
                 }
             }
         }
@@ -288,7 +255,6 @@ fn run_variant(
     program: &Program,
     mode: Mode,
     hier: &HierarchyConfig,
-    hotness: Option<u32>,
     preset: &str,
     variant: &str,
 ) -> Result<Expected, Failure> {
@@ -299,9 +265,6 @@ fn run_variant(
     };
     let mut sim = Simulator::with_configs(program, mode, UArchConfig::table1(), hier.clone())
         .map_err(|e| fail(format!("build error: {e:?}")))?;
-    if let Some(hotness) = hotness {
-        sim.set_trace_hotness(hotness);
-    }
     sim.run_to_completion().map_err(|e| fail(format!("sim error: {e:?}")))?;
     Ok(Expected {
         stats: *sim.stats(),
@@ -317,7 +280,6 @@ fn run_fast_with_memo(
     program: &Program,
     policy: Policy,
     hier: &HierarchyConfig,
-    hotness: u32,
     preset: &str,
     variant: &str,
 ) -> Result<(Expected, fastsim_memo::MemoStats), Failure> {
@@ -333,7 +295,6 @@ fn run_fast_with_memo(
         hier.clone(),
     )
     .map_err(|e| fail(format!("build error: {e:?}")))?;
-    sim.set_trace_hotness(hotness);
     sim.run_to_completion().map_err(|e| fail(format!("sim error: {e:?}")))?;
     let memo = *sim.memo_stats().expect("fast mode has memo stats");
     Ok((

@@ -1,6 +1,6 @@
 //! Snapshot-codec corruption fuzzing.
 //!
-//! The durable snapshot store ships `fastsim-snapshot/v1` bytes across
+//! The durable snapshot store ships `fastsim-snapshot/v2` bytes across
 //! process lifetimes and machines, so the decoder is a trust boundary:
 //! it must **reject, never guess** — and never panic — on arbitrary
 //! corruption. This module generates real warm-cache snapshots from
@@ -94,14 +94,10 @@ fn fuzz_one_case(
         Policy::CopyingGc { limit },
         Policy::GenerationalGc { limit },
     ]);
-    // Half the cases compile trace segments eagerly so the TRACES and
-    // HOTNESS sections carry real payloads into the corruption sweep.
-    let hotness = if rng.next_bool() { 0 } else { u32::MAX };
 
     let mut sim =
         Simulator::with_configs(&program, Mode::Fast { policy }, UArchConfig::table1(), hier.clone())
             .map_err(|e| format!("seed {case_seed:#x}: build error: {e:?}"))?;
-    sim.set_trace_hotness(hotness);
     sim.run_to_completion()
         .map_err(|e| format!("seed {case_seed:#x}: sim error: {e:?}"))?;
     let warm = sim.take_warm_cache().ok_or_else(|| {
@@ -262,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn section_walk_finds_all_seven_frames() {
+    fn section_walk_finds_all_four_frames() {
         let report = run_snapshot_fuzz(0x77, 1, 0);
         assert!(report.passed(), "violations: {:?}", report.failures);
         // Rebuild one encoding the same way and walk it.
@@ -278,6 +274,6 @@ mod tests {
         .unwrap();
         sim.run_to_completion().unwrap();
         let bytes = sim.take_warm_cache().unwrap().freeze().encode();
-        assert_eq!(section_len_offsets(&bytes).len(), 7, "v1 has seven sections");
+        assert_eq!(section_len_offsets(&bytes).len(), 4, "v2 has four sections");
     }
 }

@@ -19,8 +19,8 @@
 //! on equal bytes hashing equally on every platform).
 //!
 //! It also holds the workspace's one FNV-1a fold ([`FNV1A_OFFSET`],
-//! [`fnv1a_lane`], [`fnv1a`]), behind the warm-cache fingerprint, the
-//! trace-segment fingerprints and the job journal's record checksums.
+//! [`fnv1a_lane`], [`fnv1a`]), behind the warm-cache fingerprint and the
+//! job journal's record checksums.
 
 #![deny(missing_docs)]
 

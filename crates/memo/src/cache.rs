@@ -3,9 +3,7 @@
 use crate::action::{ActionKind, NodeId, OutcomeKey};
 use crate::index::{ConfigIndex, ConfigRef};
 use crate::policy::Policy;
-use crate::trace::{TraceSegment, DEFAULT_HOTNESS_THRESHOLD};
 use fastsim_hash::hash64;
-use std::sync::Arc;
 
 /// Per-outcome-branch modeled overhead in bytes (key + link).
 pub(crate) const BRANCH_BYTES: usize = 12;
@@ -82,29 +80,18 @@ pub struct MemoStats {
     /// Configuration lookups that missed (detailed simulation recorded a
     /// new chain).
     pub config_misses: u64,
-    /// Hot chains compiled into linear trace segments.
+    /// Inert: always 0. Trace-compiled replay no longer exists; the field
+    /// is kept only so that `perfbench/` builds unchanged.
     pub trace_segments_compiled: u64,
-    /// Replay entries that executed a compiled trace segment instead of
-    /// walking the chain node-at-a-time.
+    /// Inert: always 0. Kept only so that `perfbench/` builds unchanged.
     pub replay_segments_entered: u64,
-    /// Compact trace ops executed during segment replay (compare with
-    /// `SimStats::replayed_actions` for the aggregation factor).
+    /// Inert: always 0. Kept only so that `perfbench/` builds unchanged.
     pub replay_trace_ops: u64,
-    /// Segment executions that exited early back to node-at-a-time replay
-    /// (a cold or unseen outcome, or a chain cut).
+    /// Inert: always 0. Kept only so that `perfbench/` builds unchanged.
     pub replay_bailouts: u64,
-    /// Segment exits that continued directly into another compiled segment
-    /// instead of bailing out to node-at-a-time replay (superblock
-    /// chaining).
+    /// Inert: always 0. Kept only so that `perfbench/` builds unchanged.
     pub chained_exits: u64,
-    /// Chained transitions into a target some earlier chained transition
-    /// already entered since the last chain-stamp reset. A counter only:
-    /// such a transition executes exactly like the first one, which stamps
-    /// the target and counts only in
-    /// [`chained_exits`](MemoStats::chained_exits).
-    pub chain_follows: u64,
-    /// Compiled segments revived from a snapshot at thaw (after
-    /// fingerprint revalidation) instead of being recompiled from scratch.
+    /// Inert: always 0. Kept only so that `perfbench/` builds unchanged.
     pub segments_thawed: u64,
 }
 
@@ -154,9 +141,7 @@ pub struct PActionCache {
     /// Accessed-since-last-collection bits (GC liveness, paper §4.3),
     /// parallel to `nodes`. Kept out of `Node` deliberately: replay marks
     /// a node per action, and a dense side array means those writes touch
-    /// one byte per node instead of dirtying the fat `Node` cache lines —
-    /// and lets trace segments mark whole contiguous runs with a slice
-    /// fill (see [`mark_accessed_span`](PActionCache::mark_accessed_span)).
+    /// one byte per node instead of dirtying the fat `Node` cache lines.
     pub(crate) accessed: Vec<bool>,
     pub(crate) index: ConfigIndex,
     pub(crate) policy: Policy,
@@ -179,45 +164,6 @@ pub struct PActionCache {
     /// built from scratch. Reset to `0` by flushes and collections, which
     /// invalidate the id correspondence with the snapshot.
     pub(crate) frozen_base: usize,
-    /// Compiled linear replay segments, parallel to `nodes` (`Some` only
-    /// at configuration heads whose chains ran hot; see [`crate::trace`]).
-    /// A dense slot per node instead of a hash map: replay crosses a
-    /// configuration head every interaction cycle, and the lookup must be
-    /// one indexed load, not a probe. Shared by `Arc` so the engine can
-    /// execute a segment while marking nodes accessed through `&mut self`.
-    pub(crate) traces: Vec<Option<Arc<TraceSegment>>>,
-    /// Replay-entry counts feeding the trace compiler's hotness decision,
-    /// parallel to `nodes` (meaningful only at configuration heads).
-    pub(crate) hotness: Vec<u32>,
-    /// Entries before a chain is compiled (see
-    /// [`set_hotness_threshold`](PActionCache::set_hotness_threshold)).
-    pub(crate) hotness_threshold: u32,
-    /// Chain-link stamps, parallel to `nodes`: a stamp equal to
-    /// `chain_epoch` marks a node a chained transition has already entered
-    /// since the last reset. The stamp changes no behaviour:
-    /// `chain_enter` continues in `traces[n]` whether or not it matches,
-    /// and the stamp only decides whether the transition also counts in
-    /// [`MemoStats::chain_follows`]. Bumping the epoch resets every stamp
-    /// at once, on each flush, collect and merge. Not counted in modeled
-    /// cache bytes (side table, like `traces`).
-    pub(crate) chain_stamp: Vec<u32>,
-    /// The epoch `chain_stamp` entries are valid against (never `0`, so a
-    /// zeroed stamp is always unpatched).
-    pub(crate) chain_epoch: u32,
-    /// Adaptive hotness: global replay-entry clock, paired with
-    /// `last_seen`. A head re-entered within [`crate::trace`]'s recency
-    /// window weighs more per entry, so tight replay loops promote after
-    /// a handful of entries while one-off heads never pay compile cost.
-    pub(crate) entry_clock: u32,
-    /// Per-node `entry_clock` value (plus one; `0` = never entered) at the
-    /// node's previous hotness-counted entry, parallel to `nodes`.
-    pub(crate) last_seen: Vec<u32>,
-    /// Trace-compiler scratch: per-node op-start indices, valid when the
-    /// stamp matches `compile_epoch`. Reused across compiles so each
-    /// compile pays neither hash probes nor a per-compile clear.
-    pub(crate) compile_stamp: Vec<u32>,
-    pub(crate) compile_op: Vec<u32>,
-    pub(crate) compile_epoch: u32,
     /// Monotonic counter of *replayable-content* mutations: bumped whenever
     /// nodes, links or configuration keys change (recording, flushes,
     /// collections, merges) — but **not** by replay-side accessed-bit
@@ -242,16 +188,6 @@ impl PActionCache {
             pending_bytes: Vec::new(),
             stats: MemoStats::default(),
             frozen_base: 0,
-            traces: Vec::new(),
-            hotness: Vec::new(),
-            hotness_threshold: DEFAULT_HOTNESS_THRESHOLD,
-            chain_stamp: Vec::new(),
-            chain_epoch: 1,
-            entry_clock: 0,
-            last_seen: Vec::new(),
-            compile_stamp: Vec::new(),
-            compile_op: Vec::new(),
-            compile_epoch: 0,
             version: 0,
         }
     }
@@ -339,10 +275,6 @@ impl PActionCache {
         };
         self.nodes.push(Node { kind, next, config: None, tenured: false });
         self.accessed.push(true);
-        self.traces.push(None);
-        self.hotness.push(0);
-        self.chain_stamp.push(0);
-        self.last_seen.push(0);
         self.add_bytes(kind.modeled_bytes());
         self.stats.static_actions += 1;
         self.link_attach(id);
@@ -417,6 +349,13 @@ impl PActionCache {
     #[inline]
     pub fn kind(&self, id: NodeId) -> ActionKind {
         self.nodes[id as usize].kind
+    }
+
+    /// Whether `id` is a configuration's first action (a replay crossing
+    /// point).
+    #[inline]
+    pub fn is_config_head(&self, id: NodeId) -> bool {
+        self.nodes[id as usize].config.is_some()
     }
 
     /// If `id` is a configuration's first action, the encoded
@@ -500,7 +439,6 @@ impl PActionCache {
         self.stats.bytes = 0;
         self.stats.flushes += 1;
         self.frozen_base = 0;
-        self.invalidate_traces();
     }
 
     /// Runs a collection. `minor` keeps accessed and tenured nodes
@@ -573,9 +511,6 @@ impl PActionCache {
         self.nodes = new_nodes;
         self.index = new_index;
         self.frozen_base = 0;
-        // Compiled segments hold pre-collection node ids: drop them (they
-        // re-compile once their chains run hot again).
-        self.invalidate_traces();
         self.stats.bytes = bytes;
         self.stats.collections += 1;
         self.stats.gc_scanned_bytes += scanned as u64;

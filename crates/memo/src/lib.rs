@@ -30,16 +30,12 @@ mod cache;
 mod index;
 mod policy;
 mod snapshot;
-mod trace;
 mod wire;
 
 pub use action::{ActionKind, NodeId, OutcomeKey, RetireCounts};
 pub use cache::{ConfigLookup, MemoStats, PActionCache};
 pub use policy::Policy;
 pub use snapshot::{CacheSnapshot, MergeOutcome};
-pub use trace::{
-    EdgeRange, Touched, TouchedKind, TraceOp, TraceSegment, DEFAULT_HOTNESS_THRESHOLD,
-};
 pub use wire::{
     decode_snapshot, encode_snapshot, snapshots_wire_equal, SnapshotDecodeError, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,

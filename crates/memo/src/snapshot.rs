@@ -15,13 +15,6 @@
 //!    first writer wins on configuration keys, and only the material
 //!    actually copied is accounted, which makes the merge idempotent.
 //!
-//! Snapshots carry warmth beyond the recorded chains: compiled trace
-//! segments, their hotness counters and chain-link bits ride along, are
-//! revalidated at thaw, and eligible worker-compiled segments are
-//! imported by the merge — so a refrozen master hands the next round (or
-//! the next served client) segments that replay from the first entry
-//! instead of recompiling from scratch.
-//!
 //! A thawed cache remembers how many leading nodes it inherited from the
 //! snapshot (its *base*). Nodes in the base keep their ids as long as the
 //! cache only appends (no flush or collection), so a delta can be merged
@@ -34,10 +27,8 @@ use crate::action::NodeId;
 use crate::cache::{Node, PActionCache, Successors, BRANCH_BYTES, CONFIG_OVERHEAD_BYTES};
 use crate::index::ConfigIndex;
 use crate::policy::Policy;
-use crate::trace::TraceSegment;
 use crate::MemoStats;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// An immutable, shareable copy of a [`PActionCache`]'s replayable state.
 ///
@@ -63,20 +54,6 @@ pub struct CacheSnapshot {
     /// The source cache's replayable-content version at freeze time (see
     /// [`PActionCache::version`]).
     pub(crate) version: u64,
-    /// Compiled trace segments at freeze time, parallel to `nodes`. A
-    /// thawed copy revives them after revalidating each against the
-    /// thawed arena ([`TraceSegment::fp`]), and
-    /// [`merge_from`](PActionCache::merge_from) imports the ones living
-    /// entirely inside the shared base prefix — so warmth includes
-    /// compiled traces, not just recorded chains.
-    pub(crate) traces: Vec<Option<Arc<TraceSegment>>>,
-    /// Trace hotness counters at freeze time, parallel to `nodes` (merged
-    /// by element-wise max, which is order-independent).
-    pub(crate) hotness: Vec<u32>,
-    /// Which nodes carried a current chain stamp at freeze time, parallel to
-    /// `nodes` (stamps are epoch-relative and do not serialize; a bool
-    /// per node does — thaw re-stamps them against its fresh epoch).
-    pub(crate) chained: Vec<bool>,
 }
 
 // One snapshot is replayed from by many threads at once.
@@ -120,11 +97,6 @@ impl CacheSnapshot {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// Number of compiled trace segments the snapshot carries.
-    pub fn trace_count(&self) -> usize {
-        self.traces.iter().filter(|t| t.is_some()).count()
-    }
 }
 
 /// What a [`PActionCache::merge_from`] call actually copied.
@@ -141,10 +113,6 @@ pub struct MergeOutcome {
     pub configs_deduped: u64,
     /// Modeled bytes added to the master.
     pub bytes_added: usize,
-    /// Compiled trace segments imported from the delta (first writer wins
-    /// per node; only segments contained entirely in the shared base
-    /// prefix are eligible, each revalidated against the merged arena).
-    pub segments_imported: u64,
 }
 
 impl MergeOutcome {
@@ -192,9 +160,6 @@ impl PActionCache {
             stats: self.stats,
             base_len: self.frozen_base,
             version: self.version,
-            traces: self.traces.clone(),
-            hotness: self.hotness.clone(),
-            chained: self.chain_stamp.iter().map(|&s| s == self.chain_epoch).collect(),
         }
     }
 
@@ -228,25 +193,6 @@ impl PActionCache {
         pc.stats = snapshot.stats;
         pc.version = snapshot.version;
         pc.frozen_base = snapshot.nodes.len();
-        // Size the side tables, then revive the snapshot's compiled
-        // segments: each is revalidated against the thawed arena before
-        // installation (defense in depth — freeze/thaw copies the arena
-        // verbatim, so a mismatch means corruption or a crossed lineage;
-        // the segment is dropped, never replayed wrong). Hotness carries
-        // over; the adaptive recency clock starts fresh.
-        pc.invalidate_traces();
-        let n = pc.hotness.len();
-        pc.hotness.copy_from_slice(&snapshot.hotness[..n]);
-        for (i, seg) in snapshot.traces.iter().enumerate() {
-            let Some(seg) = seg else { continue };
-            if pc.segment_valid(seg) {
-                pc.traces[i] = Some(Arc::clone(seg));
-                if snapshot.chained.get(i).copied().unwrap_or(false) {
-                    pc.chain_stamp[i] = pc.chain_epoch;
-                }
-                pc.stats.segments_thawed += 1;
-            }
-        }
         pc
     }
 
@@ -298,9 +244,7 @@ impl PActionCache {
     /// treats the whole snapshot as delta: every configuration subgraph is
     /// copied (first writer wins on keys, exactly like
     /// [`merge_from`](PActionCache::merge_from)), and nothing is grafted
-    /// onto existing nodes. Compiled trace segments are not imported —
-    /// their node ids are meaningless here — but the copied chains re-heat
-    /// and recompile through the normal hotness path. Idempotent: merging
+    /// onto existing nodes. Idempotent: merging
     /// the same snapshot twice copies nothing the second time.
     pub fn merge_foreign(&mut self, snapshot: &CacheSnapshot) -> MergeOutcome {
         self.merge_with_base(snapshot, 0)
@@ -413,45 +357,10 @@ impl PActionCache {
             out.actions_added += 1;
             out.bytes_added += bytes;
         }
-        // The master only appended: its own compiled segments stay valid
-        // (filled links and new branches are additions the segments
-        // either carry or cut/fall back through — see the trace module
-        // docs), so grow the side tables instead of dropping them. Chain
-        // stamps are reset (epoch bump).
-        self.grow_trace_tables_after_merge();
-        // Import the delta's compiled segments that live entirely inside
-        // the shared base prefix: ids there are identical on both sides,
-        // so a worker's compile effort is meaningful to the master — and
-        // to every future thaw of its snapshots. First writer wins per
-        // node; each import is revalidated against the merged arena (a
-        // graft that changed a dispatched node's edge order disqualifies
-        // the candidate rather than importing it wrong).
-        let import_len = base_len.min(delta.traces.len());
-        for i in 0..import_len {
-            let Some(seg) = &delta.traces[i] else { continue };
-            if self.traces[i].is_some() || (seg.max_node as usize) >= base_len {
-                continue;
-            }
-            if self.segment_valid(seg) {
-                self.traces[i] = Some(Arc::clone(seg));
-                out.segments_imported += 1;
-            }
-        }
-        // Merge hotness by element-wise max: commutative and idempotent,
-        // so the result is independent of delta merge order and re-merges
-        // stay no-ops.
-        let mut warmth_changed = out.segments_imported > 0;
-        for i in 0..base_len.min(delta.hotness.len()) {
-            if delta.hotness[i] > self.hotness[i] {
-                self.hotness[i] = delta.hotness[i];
-                warmth_changed = true;
-            }
-        }
         // A filled single-successor link changes replayable content without
         // moving any `MergeOutcome` counter, so it must bump the version
-        // too — as does imported warmth (segments/hotness), which future
-        // freezes must capture for `freeze_if_newer` to ship it.
-        if !out.is_noop() || links_filled || warmth_changed {
+        // too.
+        if !out.is_noop() || links_filled {
             self.version += 1;
         }
         out
@@ -677,79 +586,6 @@ mod tests {
         // ...but re-merging the same delta is a no-op and stays clean.
         assert!(master.merge_from(&delta).is_noop());
         assert!(!master.dirty_since(&snap2));
-        assert!(master.freeze_if_newer(&snap2).is_none());
-    }
-
-    #[test]
-    fn merge_imports_eligible_worker_segments() {
-        let mut master = PActionCache::new(Policy::Unbounded);
-        record(&mut master, b"A", 1);
-        let snap = master.freeze();
-        assert_eq!(snap.trace_count(), 0);
-
-        // The worker compiles A's chain (base-prefix nodes only) and also
-        // records + compiles a brand-new config B (delta-side nodes).
-        let mut w = PActionCache::from_snapshot(&snap);
-        w.set_hotness_threshold(0);
-        let a = match w.register_config(b"A") {
-            ConfigLookup::Hit(id) => id,
-            ConfigLookup::Miss => panic!("A is frozen"),
-        };
-        assert!(w.trace_enter(a).is_some());
-        record(&mut w, b"B", 2);
-        let b = match w.register_config(b"B") {
-            ConfigLookup::Hit(id) => id,
-            ConfigLookup::Miss => panic!("B was just recorded"),
-        };
-        assert!(w.trace_enter(b).is_some());
-        let delta = w.freeze();
-        assert_eq!(delta.trace_count(), 2);
-
-        // A's segment imports (entirely in the base prefix); B's segment
-        // references delta-side ids that relocate, so it is skipped.
-        let out = master.merge_from(&delta);
-        assert_eq!(out.segments_imported, 1);
-        assert_eq!(master.trace_count(), 1);
-        assert!(master.traces[a as usize].is_some());
-
-        // Re-merging imports nothing (first writer wins) and is a no-op.
-        let again = master.merge_from(&delta);
-        assert!(again.is_noop());
-        assert_eq!(again.segments_imported, 0);
-
-        // A refreeze ships the imported segment; a thaw revives it.
-        let snap2 = master.freeze();
-        assert_eq!(snap2.trace_count(), 1);
-        let thawed = PActionCache::from_snapshot(&snap2);
-        assert_eq!(thawed.trace_count(), 1);
-        assert_eq!(thawed.stats().segments_thawed, 1);
-    }
-
-    #[test]
-    fn merged_warmth_bumps_the_version_for_refreeze() {
-        let mut master = PActionCache::new(Policy::Unbounded);
-        record(&mut master, b"A", 1);
-        let snap = master.freeze();
-
-        // The worker adds no new content — it only replays A hot enough
-        // to compile a segment. The merge must still dirty the master, or
-        // freeze_if_newer would never ship the imported warmth.
-        let mut w = PActionCache::from_snapshot(&snap);
-        w.set_hotness_threshold(0);
-        let a = match w.register_config(b"A") {
-            ConfigLookup::Hit(id) => id,
-            ConfigLookup::Miss => panic!("A is frozen"),
-        };
-        assert!(w.trace_enter(a).is_some());
-        let delta = w.freeze();
-
-        let out = master.merge_from(&delta);
-        assert!(out.is_noop(), "no nodes/configs/branches copied: {out:?}");
-        assert_eq!(out.segments_imported, 1);
-        let snap2 = master.freeze_if_newer(&snap).expect("imported warmth dirties the master");
-        assert_eq!(snap2.trace_count(), 1);
-        // Re-merge: nothing new, stays clean.
-        assert!(master.merge_from(&delta).is_noop());
         assert!(master.freeze_if_newer(&snap2).is_none());
     }
 

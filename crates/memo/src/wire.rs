@@ -1,4 +1,4 @@
-//! The `fastsim-snapshot/v1` binary format: durable, portable encoding of
+//! The `fastsim-snapshot/v2` binary format: durable, portable encoding of
 //! a frozen [`CacheSnapshot`].
 //!
 //! Memoized warmth is only worth persisting if a stale or damaged file can
@@ -10,15 +10,13 @@
 //!   recorded under — a reader for the wrong version or the wrong model
 //!   gets a typed error before any payload is touched;
 //! * the payload is a fixed sequence of tagged **sections** (meta, stats,
-//!   nodes, index, traces, hotness, chained), each carrying its own byte
-//!   length and an FNV-1a checksum — truncation, bit flips and
+//!   nodes, index), each carrying its own byte length and a
+//!   [`hash64`] checksum of its payload — truncation, bit flips and
 //!   section-length lies are all detected per section;
-//! * every enum tag, node id, arena offset and side-table range is
-//!   bounds-checked during decode, configuration fingerprints are
-//!   re-derived from the stored bytes, and compiled trace segments are
-//!   structurally validated — a decoded snapshot can be thawed and merged
-//!   without any panic path, and thaw-side segment revalidation
-//!   (fingerprint + edge-prefix checks) still runs on top.
+//! * every enum tag, node id and arena offset is bounds-checked during
+//!   decode, and configuration fingerprints are re-derived from the stored
+//!   bytes — a decoded snapshot can be thawed and merged without any panic
+//!   path.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -28,45 +26,37 @@
 //! section  tag u32 | len u64 | payload[len] | checksum u64
 //! ```
 //!
-//! Sections appear in a fixed order (`meta`, `stats`, `nodes`, `index`,
-//! `traces`, `hotness`, `chained`); see `docs/snapshots.md` for the field
-//! tables. Encoding is canonical: re-encoding a decoded snapshot
-//! reproduces the input bytes exactly, which the golden fixtures under
-//! `tests/fixtures/` pin.
+//! Sections appear in a fixed order (`meta`, `stats`, `nodes`, `index`);
+//! see `docs/snapshots.md` for the field tables. Version 1 carried three
+//! more sections for trace-compiled replay segments; this build rejects it
+//! with [`SnapshotDecodeError::UnsupportedVersion`]. Encoding is canonical:
+//! re-encoding a decoded snapshot reproduces the input bytes exactly,
+//! which the golden fixtures under `tests/fixtures/` pin.
 
 use crate::action::{ActionKind, NodeId, OutcomeKey, RetireCounts};
 use crate::cache::{Node, Successors};
 use crate::index::{ConfigIndex, ConfigRef};
 use crate::policy::Policy;
 use crate::snapshot::CacheSnapshot;
-use crate::trace::{EdgeRange, Touched, TouchedKind, TraceOp, TraceSegment};
 use crate::MemoStats;
 use fastsim_hash::hash64;
 use std::fmt;
-use std::sync::Arc;
 
 /// Magic bytes opening every encoded snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FSIMSNAP";
 
 /// The format version this build writes and the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Number of sections in a v1 snapshot.
-const SECTION_COUNT: u32 = 7;
+/// Number of sections in a v2 snapshot.
+const SECTION_COUNT: u32 = 4;
 
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8;
 
 /// Section tags, in the order sections must appear.
-const SECTIONS: [(u32, &str); 7] = [
-    (1, "meta"),
-    (2, "stats"),
-    (3, "nodes"),
-    (4, "index"),
-    (5, "traces"),
-    (6, "hotness"),
-    (7, "chained"),
-];
+const SECTIONS: [(u32, &str); SECTION_COUNT as usize] =
+    [(1, "meta"), (2, "stats"), (3, "nodes"), (4, "index")];
 
 /// Why a snapshot file was rejected. Every variant is a hard rejection:
 /// the decoder never guesses, pads or partially applies a damaged file.
@@ -120,7 +110,7 @@ pub enum SnapshotDecodeError {
 impl fmt::Display for SnapshotDecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotDecodeError::BadMagic => write!(f, "not a fastsim-snapshot/v1 file"),
+            SnapshotDecodeError::BadMagic => write!(f, "not a fastsim-snapshot file"),
             SnapshotDecodeError::UnsupportedVersion { found } => {
                 write!(f, "unsupported snapshot format version {found} (expected {SNAPSHOT_VERSION})")
             }
@@ -259,13 +249,6 @@ fn encode_stats(stats: &MemoStats) -> Vec<u8> {
         stats.gc_scanned_bytes,
         stats.config_hits,
         stats.config_misses,
-        stats.trace_segments_compiled,
-        stats.replay_segments_entered,
-        stats.replay_trace_ops,
-        stats.replay_bailouts,
-        stats.chained_exits,
-        stats.chain_follows,
-        stats.segments_thawed,
     ] {
         w64(&mut out, v);
     }
@@ -326,138 +309,8 @@ fn encode_index(index: &ConfigIndex) -> Vec<u8> {
     out
 }
 
-fn encode_traces(snap: &CacheSnapshot) -> Vec<u8> {
-    let mut out = Vec::new();
-    let present: Vec<(usize, &Arc<TraceSegment>)> =
-        snap.traces.iter().enumerate().filter_map(|(i, t)| t.as_ref().map(|s| (i, s))).collect();
-    w64(&mut out, present.len() as u64);
-    for (node, seg) in present {
-        w32(&mut out, node as u32);
-        w64(&mut out, seg.ops.len() as u64);
-        for op in &seg.ops {
-            w_trace_op(&mut out, op);
-        }
-        w64(&mut out, seg.touched.len() as u64);
-        for &id in &seg.touched {
-            w32(&mut out, id);
-        }
-        w64(&mut out, seg.retires.len() as u64);
-        for r in &seg.retires {
-            w_retire(&mut out, r);
-        }
-        w64(&mut out, seg.edges.len() as u64);
-        for (key, id) in &seg.edges {
-            w_outcome(&mut out, key);
-            w32(&mut out, *id);
-        }
-        w64(&mut out, seg.fp);
-        w32(&mut out, seg.max_node);
-    }
-    out
-}
-
-fn w_touched(out: &mut Vec<u8>, t: Touched) {
-    match t.kind() {
-        TouchedKind::Span(first) => {
-            w8(out, 0);
-            w32(out, first);
-        }
-        TouchedKind::List(start, len) => {
-            w8(out, 1);
-            w32(out, start);
-            w32(out, len);
-        }
-    }
-}
-
-fn w_trace_op(out: &mut Vec<u8>, op: &TraceOp) {
-    match *op {
-        TraceOp::Bulk { cycles, retired, count, touched, anchored } => {
-            w8(out, 0);
-            w32(out, cycles);
-            w32(out, retired);
-            w32(out, count);
-            w_touched(out, touched);
-            w_bool(out, anchored);
-        }
-        TraceOp::IssueStore { node, sq_index, anchored } => {
-            w8(out, 1);
-            w32(out, node);
-            w32(out, sq_index);
-            w_bool(out, anchored);
-        }
-        TraceOp::CancelLoad { node, lq_index, anchored } => {
-            w8(out, 2);
-            w32(out, node);
-            w32(out, lq_index);
-            w_bool(out, anchored);
-        }
-        TraceOp::Rollback { node, ctrl_index, anchored } => {
-            w8(out, 3);
-            w32(out, node);
-            w32(out, ctrl_index);
-            w_bool(out, anchored);
-        }
-        TraceOp::Fetch { node, edges, anchored } => {
-            w8(out, 4);
-            w32(out, node);
-            w32(out, edges.start);
-            w32(out, edges.len);
-            w_bool(out, anchored);
-        }
-        TraceOp::IssueLoad { node, lq_index, edges, anchored } => {
-            w8(out, 5);
-            w32(out, node);
-            w32(out, lq_index);
-            w32(out, edges.start);
-            w32(out, edges.len);
-            w_bool(out, anchored);
-        }
-        TraceOp::PollLoad { node, lq_index, edges, anchored } => {
-            w8(out, 6);
-            w32(out, node);
-            w32(out, lq_index);
-            w32(out, edges.start);
-            w32(out, edges.len);
-            w_bool(out, anchored);
-        }
-        TraceOp::Finish { node, anchored } => {
-            w8(out, 7);
-            w32(out, node);
-            w_bool(out, anchored);
-        }
-        TraceOp::Cut { node } => {
-            w8(out, 8);
-            w32(out, node);
-        }
-        TraceOp::Jump { op, node } => {
-            w8(out, 9);
-            w32(out, op);
-            w32(out, node);
-        }
-    }
-}
-
-fn encode_hotness(snap: &CacheSnapshot) -> Vec<u8> {
-    let mut out = Vec::with_capacity(snap.hotness.len() * 4);
-    for &h in &snap.hotness {
-        w32(&mut out, h);
-    }
-    out
-}
-
-fn encode_chained(snap: &CacheSnapshot) -> Vec<u8> {
-    let mut out = vec![0u8; snap.chained.len().div_ceil(8)];
-    for (i, &c) in snap.chained.iter().enumerate() {
-        if c {
-            out[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out
-}
-
 /// Encodes a frozen snapshot (plus the model `fingerprint` it was recorded
-/// under) into the `fastsim-snapshot/v1` byte format.
+/// under) into the `fastsim-snapshot/v2` byte format.
 ///
 /// Encoding is canonical and deterministic: equal snapshots produce equal
 /// bytes, and [`decode_snapshot`] followed by `encode_snapshot`
@@ -468,9 +321,6 @@ pub fn encode_snapshot(snap: &CacheSnapshot, fingerprint: u64) -> Vec<u8> {
         encode_stats(&snap.stats),
         encode_nodes(snap),
         encode_index(&snap.index),
-        encode_traces(snap),
-        encode_hotness(snap),
-        encode_chained(snap),
     ];
     let body: usize = payloads.iter().map(|p| p.len() + 4 + 8 + 8).sum();
     let mut out = Vec::with_capacity(HEADER_LEN + body);
@@ -615,7 +465,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Splits the file into the header fingerprint plus the seven
+/// Splits the file into the header fingerprint plus the four
 /// checksum-verified section payloads.
 fn split_sections(bytes: &[u8]) -> Result<(u64, Vec<&[u8]>), SnapshotDecodeError> {
     if bytes.len() < HEADER_LEN {
@@ -759,13 +609,6 @@ fn decode_stats(payload: &[u8]) -> Result<MemoStats, SnapshotDecodeError> {
     stats.gc_scanned_bytes = r.u64()?;
     stats.config_hits = r.u64()?;
     stats.config_misses = r.u64()?;
-    stats.trace_segments_compiled = r.u64()?;
-    stats.replay_segments_entered = r.u64()?;
-    stats.replay_trace_ops = r.u64()?;
-    stats.replay_bailouts = r.u64()?;
-    stats.chained_exits = r.u64()?;
-    stats.chain_follows = r.u64()?;
-    stats.segments_thawed = r.u64()?;
     r.done()?;
     Ok(stats)
 }
@@ -847,235 +690,6 @@ fn decode_index(payload: &[u8], node_count: usize) -> Result<ConfigIndex, Snapsh
     Ok(ConfigIndex::from_parts(arena, entries))
 }
 
-fn decode_traces(
-    payload: &[u8],
-    node_count: usize,
-) -> Result<Vec<Option<Arc<TraceSegment>>>, SnapshotDecodeError> {
-    let mut r = Reader::new(payload, "traces");
-    let mut traces: Vec<Option<Arc<TraceSegment>>> = vec![None; node_count];
-    let present = r.count("segment")?;
-    let mut prev: Option<u32> = None;
-    for s in 0..present {
-        let node = r.u32()?;
-        if (node as usize) >= node_count {
-            return Err(r.corrupt(format!(
-                "segment {s}: node {node} out of bounds ({node_count} nodes)"
-            )));
-        }
-        if prev.is_some_and(|p| node <= p) {
-            return Err(r.corrupt(format!(
-                "segment {s}: node {node} not strictly ascending (non-canonical)"
-            )));
-        }
-        prev = Some(node);
-        let seg = decode_segment(&mut r, s, node_count)?;
-        traces[node as usize] = Some(Arc::new(seg));
-    }
-    r.done()?;
-    Ok(traces)
-}
-
-fn decode_segment(
-    r: &mut Reader<'_>,
-    s: usize,
-    node_count: usize,
-) -> Result<TraceSegment, SnapshotDecodeError> {
-    let op_count = r.count("trace op")?;
-    let mut raw_ops = Vec::with_capacity(op_count);
-    for _ in 0..op_count {
-        raw_ops.push(r_trace_op(r)?);
-    }
-    let touched_count = r.count("touched id")?;
-    let mut touched = Vec::with_capacity(touched_count);
-    for _ in 0..touched_count {
-        let id = r.u32()?;
-        if (id as usize) >= node_count {
-            return Err(r.corrupt(format!("segment {s}: touched node {id} out of bounds")));
-        }
-        touched.push(id);
-    }
-    let retire_count = r.count("retire record")?;
-    let mut retires = Vec::with_capacity(retire_count);
-    for _ in 0..retire_count {
-        retires.push(r.retire()?);
-    }
-    let edge_count = r.count("edge")?;
-    let mut edges = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let key = r.outcome()?;
-        let id = r.u32()?;
-        if (id as usize) >= node_count {
-            return Err(r.corrupt(format!("segment {s}: edge target {id} out of bounds")));
-        }
-        edges.push((key, id));
-    }
-    let fp = r.u64()?;
-    let max_node = r.u32()?;
-    if (max_node as usize) >= node_count {
-        return Err(r.corrupt(format!("segment {s}: max node {max_node} out of bounds")));
-    }
-
-    // Structural validation of every op against the side tables and the
-    // arena, so thaw-side revalidation (`segment_valid`) can never index
-    // out of bounds on a decoded segment.
-    let seg = TraceSegment { ops: Vec::new(), touched, retires, edges, fp, max_node };
-    let mut ops = Vec::with_capacity(raw_ops.len());
-    for (i, op) in raw_ops.into_iter().enumerate() {
-        let bad = |detail: String| SnapshotDecodeError::Corrupt {
-            section: "traces",
-            detail: format!("segment {s} op {i}: {detail}"),
-        };
-        let check_node = |id: NodeId, what: &str| {
-            if (id as usize) >= node_count {
-                Err(bad(format!("{what} node {id} out of bounds")))
-            } else {
-                Ok(())
-            }
-        };
-        let check_edges = |range: EdgeRange| {
-            let end = range.start as u64 + range.len as u64;
-            if end > seg.edges.len() as u64 {
-                Err(bad(format!(
-                    "edge range {}..{end} exceeds edge table length {}",
-                    range.start,
-                    seg.edges.len()
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        match op {
-            TraceOp::Bulk { retired, count, touched, .. } => {
-                if (retired as usize) >= seg.retires.len() {
-                    return Err(bad(format!("retire index {retired} out of bounds")));
-                }
-                match touched.kind() {
-                    TouchedKind::Span(first) => {
-                        if u64::from(first) + u64::from(count) > node_count as u64 {
-                            return Err(bad(format!(
-                                "span {first}+{count} exceeds node count {node_count}"
-                            )));
-                        }
-                    }
-                    TouchedKind::List(start, len) => {
-                        if u64::from(start) + u64::from(len) > seg.touched.len() as u64 {
-                            return Err(bad(format!(
-                                "touched range {start}+{len} exceeds list length {}",
-                                seg.touched.len()
-                            )));
-                        }
-                    }
-                }
-            }
-            TraceOp::IssueStore { node, .. }
-            | TraceOp::CancelLoad { node, .. }
-            | TraceOp::Rollback { node, .. }
-            | TraceOp::Finish { node, .. }
-            | TraceOp::Cut { node } => check_node(node, "covered")?,
-            TraceOp::Fetch { node, edges, .. } => {
-                check_node(node, "dispatch")?;
-                check_edges(edges)?;
-            }
-            TraceOp::IssueLoad { node, edges, .. } | TraceOp::PollLoad { node, edges, .. } => {
-                check_node(node, "dispatch")?;
-                check_edges(edges)?;
-            }
-            TraceOp::Jump { op: target, node } => {
-                check_node(node, "jump")?;
-                if (target as usize) >= op_count {
-                    return Err(bad(format!("jump target op {target} out of bounds")));
-                }
-            }
-        }
-        ops.push(op);
-    }
-    Ok(TraceSegment { ops, ..seg })
-}
-
-fn r_trace_op(r: &mut Reader<'_>) -> Result<TraceOp, SnapshotDecodeError> {
-    Ok(match r.u8()? {
-        0 => {
-            let cycles = r.u32()?;
-            let retired = r.u32()?;
-            let count = r.u32()?;
-            let touched = match r.u8()? {
-                0 => Touched::span(r.u32()?),
-                1 => {
-                    let start = r.u32()?;
-                    let len = r.u32()?;
-                    if len == u32::MAX {
-                        return Err(r.corrupt("touched list length collides with span sentinel"));
-                    }
-                    Touched::list(start, len)
-                }
-                t => return Err(r.corrupt(format!("unknown touched tag {t}"))),
-            };
-            TraceOp::Bulk { cycles, retired, count, touched, anchored: r.bool()? }
-        }
-        1 => TraceOp::IssueStore { node: r.u32()?, sq_index: r.u32()?, anchored: r.bool()? },
-        2 => TraceOp::CancelLoad { node: r.u32()?, lq_index: r.u32()?, anchored: r.bool()? },
-        3 => TraceOp::Rollback { node: r.u32()?, ctrl_index: r.u32()?, anchored: r.bool()? },
-        4 => TraceOp::Fetch {
-            node: r.u32()?,
-            edges: EdgeRange { start: r.u32()?, len: r.u32()? },
-            anchored: r.bool()?,
-        },
-        5 => TraceOp::IssueLoad {
-            node: r.u32()?,
-            lq_index: r.u32()?,
-            edges: EdgeRange { start: r.u32()?, len: r.u32()? },
-            anchored: r.bool()?,
-        },
-        6 => TraceOp::PollLoad {
-            node: r.u32()?,
-            lq_index: r.u32()?,
-            edges: EdgeRange { start: r.u32()?, len: r.u32()? },
-            anchored: r.bool()?,
-        },
-        7 => TraceOp::Finish { node: r.u32()?, anchored: r.bool()? },
-        8 => TraceOp::Cut { node: r.u32()? },
-        9 => TraceOp::Jump { op: r.u32()?, node: r.u32()? },
-        t => return Err(r.corrupt(format!("unknown trace op tag {t}"))),
-    })
-}
-
-fn decode_hotness(payload: &[u8], node_count: usize) -> Result<Vec<u32>, SnapshotDecodeError> {
-    if payload.len() != node_count * 4 {
-        return Err(SnapshotDecodeError::Corrupt {
-            section: "hotness",
-            detail: format!("{} bytes for {node_count} nodes (expected {})", payload.len(), node_count * 4),
-        });
-    }
-    let mut r = Reader::new(payload, "hotness");
-    let mut hotness = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        hotness.push(r.u32()?);
-    }
-    r.done()?;
-    Ok(hotness)
-}
-
-fn decode_chained(payload: &[u8], node_count: usize) -> Result<Vec<bool>, SnapshotDecodeError> {
-    let expected = node_count.div_ceil(8);
-    if payload.len() != expected {
-        return Err(SnapshotDecodeError::Corrupt {
-            section: "chained",
-            detail: format!("{} bytes for {node_count} nodes (expected {expected})", payload.len()),
-        });
-    }
-    // Trailing pad bits must be zero (canonical form).
-    if !node_count.is_multiple_of(8) {
-        let last = payload[expected - 1];
-        if last >> (node_count % 8) != 0 {
-            return Err(SnapshotDecodeError::Corrupt {
-                section: "chained",
-                detail: "non-zero padding bits in the final byte".to_string(),
-            });
-        }
-    }
-    Ok((0..node_count).map(|i| payload[i / 8] & (1 << (i % 8)) != 0).collect())
-}
-
 /// Validates the cross-section invariants a well-formed snapshot upholds:
 /// successor ids and configuration references in bounds.
 fn cross_validate(snap: &CacheSnapshot) -> Result<(), SnapshotDecodeError> {
@@ -1114,7 +728,7 @@ fn cross_validate(snap: &CacheSnapshot) -> Result<(), SnapshotDecodeError> {
     Ok(())
 }
 
-/// Decodes a `fastsim-snapshot/v1` file.
+/// Decodes a `fastsim-snapshot/v2` file.
 ///
 /// When `expected_fingerprint` is given, the header fingerprint must match
 /// it exactly — loading a snapshot recorded under a different program,
@@ -1142,9 +756,6 @@ pub fn decode_snapshot(
     let stats = decode_stats(payloads[1])?;
     let (nodes, accessed) = decode_nodes(payloads[2], meta.node_count)?;
     let index = decode_index(payloads[3], meta.node_count)?;
-    let traces = decode_traces(payloads[4], meta.node_count)?;
-    let hotness = decode_hotness(payloads[5], meta.node_count)?;
-    let chained = decode_chained(payloads[6], meta.node_count)?;
     let snap = CacheSnapshot {
         nodes,
         accessed,
@@ -1153,9 +764,6 @@ pub fn decode_snapshot(
         stats,
         base_len: meta.base_len,
         version: meta.version,
-        traces,
-        hotness,
-        chained,
     };
     cross_validate(&snap)?;
     Ok((snap, fingerprint))
@@ -1173,15 +781,12 @@ mod tests {
     use super::*;
     use crate::{ConfigLookup, PActionCache};
 
-    /// Builds a cache with a couple of configurations, an outcome branch
-    /// and (optionally) a compiled trace segment, then freezes it.
-    fn sample_snapshot(with_traces: bool) -> CacheSnapshot {
+    /// Builds a cache with a couple of configurations and outcome
+    /// branches, then freezes it.
+    fn sample_snapshot() -> CacheSnapshot {
         let mut pc = PActionCache::new(Policy::Unbounded);
-        if with_traces {
-            pc.set_hotness_threshold(0);
-        }
         assert_eq!(pc.register_config(b"config-A"), ConfigLookup::Miss);
-        let head = pc.record_action(ActionKind::Advance {
+        pc.record_action(ActionKind::Advance {
             cycles: 4,
             retired: RetireCounts { insts: 2, ..RetireCounts::default() },
         });
@@ -1193,55 +798,36 @@ mod tests {
         assert_eq!(pc.register_config(b"config-B"), ConfigLookup::Miss);
         pc.record_action(ActionKind::IssueStore { sq_index: 1 });
         pc.record_action(ActionKind::Finish);
-        if with_traces {
-            // Promote config-A's chain into a compiled segment.
-            let mut compiled = false;
-            for _ in 0..4 {
-                assert!(matches!(pc.register_config(b"config-A"), ConfigLookup::Hit(_)));
-                compiled |= pc.trace_enter(head).is_some();
-            }
-            assert!(compiled, "chain compiled");
-            assert!(pc.trace_count() > 0, "segment present in the freeze");
-        }
         pc.freeze()
     }
 
     #[test]
     fn round_trips_bit_identically() {
-        for with_traces in [false, true] {
-            let snap = sample_snapshot(with_traces);
-            let bytes = encode_snapshot(&snap, 0xdead_beef_cafe_f00d);
-            let (back, fp) =
-                decode_snapshot(&bytes, Some(0xdead_beef_cafe_f00d)).expect("decodes");
-            assert_eq!(fp, 0xdead_beef_cafe_f00d);
-            assert_eq!(back.config_count(), snap.config_count());
-            assert_eq!(back.node_count(), snap.node_count());
-            assert_eq!(back.stats(), snap.stats());
-            assert_eq!(back.trace_count(), snap.trace_count());
-            // Canonical encoding: decode → encode reproduces the bytes.
-            assert_eq!(encode_snapshot(&back, 0xdead_beef_cafe_f00d), bytes);
-            assert!(snapshots_wire_equal(&snap, &back));
-        }
+        let snap = sample_snapshot();
+        let bytes = encode_snapshot(&snap, 0xdead_beef_cafe_f00d);
+        let (back, fp) = decode_snapshot(&bytes, Some(0xdead_beef_cafe_f00d)).expect("decodes");
+        assert_eq!(fp, 0xdead_beef_cafe_f00d);
+        assert_eq!(back.config_count(), snap.config_count());
+        assert_eq!(back.node_count(), snap.node_count());
+        assert_eq!(back.stats(), snap.stats());
+        // Canonical encoding: decode → encode reproduces the bytes.
+        assert_eq!(encode_snapshot(&back, 0xdead_beef_cafe_f00d), bytes);
+        assert!(snapshots_wire_equal(&snap, &back));
     }
 
     #[test]
     fn decoded_snapshot_thaws_and_replays() {
-        let snap = sample_snapshot(true);
+        let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap, 1);
         let (back, _) = decode_snapshot(&bytes, None).expect("decodes");
         let mut thawed = PActionCache::from_snapshot(&back);
         assert_eq!(thawed.register_config(b"config-A"), ConfigLookup::Hit(0));
         assert!(matches!(thawed.register_config(b"config-B"), ConfigLookup::Hit(_)));
-        assert_eq!(
-            thawed.stats().segments_thawed,
-            1,
-            "the decoded segment revalidates and revives"
-        );
     }
 
     #[test]
     fn rejects_wrong_magic_version_and_fingerprint() {
-        let snap = sample_snapshot(false);
+        let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap, 42);
 
         let mut bad = bytes.clone();
@@ -1258,6 +844,14 @@ mod tests {
             SnapshotDecodeError::UnsupportedVersion { found: 9 }
         );
 
+        // Version 1 (with trace-segment sections) is no longer read.
+        let mut v1 = bytes.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            decode_snapshot(&v1, None).expect_err("v1"),
+            SnapshotDecodeError::UnsupportedVersion { found: 1 }
+        );
+
         assert_eq!(
             decode_snapshot(&bytes, Some(43)).expect_err("wrong fingerprint"),
             SnapshotDecodeError::FingerprintMismatch { expected: 43, found: 42 }
@@ -1266,7 +860,7 @@ mod tests {
 
     #[test]
     fn rejects_every_truncation() {
-        let snap = sample_snapshot(true);
+        let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap, 7);
         for cut in 0..bytes.len() {
             let err = decode_snapshot(&bytes[..cut], None)
@@ -1286,7 +880,7 @@ mod tests {
 
     #[test]
     fn rejects_payload_bit_flips() {
-        let snap = sample_snapshot(true);
+        let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap, 7);
         // Flip one bit in every byte past the header: each must be caught
         // by a checksum (or a stricter header/frame check).
@@ -1302,7 +896,7 @@ mod tests {
 
     #[test]
     fn rejects_section_length_lies() {
-        let snap = sample_snapshot(false);
+        let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap, 7);
         // The first section's length field sits right after its tag.
         let len_at = HEADER_LEN + 4;
@@ -1318,7 +912,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let snap = sample_snapshot(false);
+        let snap = sample_snapshot();
         let mut bytes = encode_snapshot(&snap, 7);
         bytes.extend_from_slice(b"junk");
         assert_eq!(

@@ -50,7 +50,7 @@
 //! ## Recovery semantics: reject, don't guess
 //!
 //! Decoding follows the same strict discipline as
-//! `fastsim-snapshot/v1` (`crates/memo/src/wire.rs`): bad magic, an
+//! `fastsim-snapshot/v2` (`crates/memo/src/wire.rs`): bad magic, an
 //! unknown version, a mid-file checksum mismatch, an oversized length, or
 //! malformed payload content each fail recovery with a typed
 //! [`JournalError`] — a damaged journal is *rejected*, never replayed as

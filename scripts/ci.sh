@@ -42,68 +42,6 @@ for key in '"schema": "fastsim-memo-hotpath/v1"' \
 done
 echo "==> bench smoke passed ($SMOKE_OUT)"
 
-echo "==> bench smoke: replay_hotpath on a tiny workload"
-# Same idea for the trace-compiled replay benchmark: tiny run, then
-# validate the keys BENCH_replay.json consumers rely on (including the
-# bit-identity flag the bench asserts before writing).
-REPLAY_OUT="target/bench_replay_smoke.json"
-cargo run --release -q -p fastsim-bench --bin replay_hotpath -- \
-    --insts 200000 --filter compress --out "$REPLAY_OUT"
-for key in '"schema": "fastsim-replay-hotpath/v2"' \
-    '"insts_per_workload"' '"debug_build"' '"workloads"' \
-    '"hierarchy"' '"trace_op_bytes"' '"cache_levels"' \
-    '"mshr_stall_cycles"' '"writebacks"' \
-    '"nav_node_actions_per_sec"' '"nav_trace_actions_per_sec"' \
-    '"nav_speedup"' '"warm_node_ms"' '"warm_trace_ms"' '"warm_speedup"' \
-    '"segments_entered"' '"segments_compiled"' '"bailouts"' \
-    '"chain_follows"' '"chained_exits"' '"segments_thawed"' \
-    '"trace_ops"' '"stats_identical": true' '"summary"' \
-    '"replay_throughput_speedup_geomean"' '"warm_speedup_geomean"'; do
-    grep -qF "$key" "$REPLAY_OUT" || {
-        echo "bench smoke: missing $key in $REPLAY_OUT" >&2
-        exit 1
-    }
-done
-# Release-build smoke must actually *win* end-to-end: thawed-segment
-# replay slower than node-at-a-time navigation is a regression. Timer
-# noise on a sub-second smoke can dip a single run below 1.0, so allow
-# up to three attempts — a real regression fails all of them.
-REPLAY_GATE_OK=0
-for attempt in 1 2 3; do
-    GEOMEAN=$(sed -n 's/.*"warm_speedup_geomean": \([0-9.]*\).*/\1/p' "$REPLAY_OUT")
-    [ -n "$GEOMEAN" ] || { echo "bench smoke: cannot parse warm_speedup_geomean" >&2; exit 1; }
-    if awk -v g="$GEOMEAN" 'BEGIN { exit !(g >= 1.0) }'; then
-        REPLAY_GATE_OK=1
-        break
-    fi
-    echo "bench smoke: attempt $attempt warm_speedup_geomean $GEOMEAN < 1.0, retrying"
-    cargo run --release -q -p fastsim-bench --bin replay_hotpath -- \
-        --insts 200000 --filter compress --out "$REPLAY_OUT"
-done
-if [ "$REPLAY_GATE_OK" -ne 1 ]; then
-    echo "bench smoke: warm_speedup_geomean stayed < 1.0 across 3 attempts" >&2
-    exit 1
-fi
-echo "==> bench smoke passed ($REPLAY_OUT, warm_speedup_geomean $GEOMEAN)"
-
-echo "==> hierarchy smoke: bench bins under a non-default preset"
-# The full preset × policy equivalence sweeps already run under
-# `cargo test` (tests/hierarchy.rs, tests/trace_compile.rs,
-# tests/batch_determinism.rs); this step exercises the *bench* plumbing:
-# replay_hotpath under the three-level preset must still assert fast/slow
-# bit-identity and report one stats block per level.
-HIER_OUT="target/bench_replay_hier_smoke.json"
-cargo run --release -q -p fastsim-bench --bin replay_hotpath -- \
-    --insts 20000 --filter compress --hierarchy three-level --out "$HIER_OUT"
-for key in '"hierarchy": "three-level"' '"stats_identical": true' \
-    '"level": 2' '"cache_levels"'; do
-    grep -qF "$key" "$HIER_OUT" || {
-        echo "hierarchy smoke: missing $key in $HIER_OUT" >&2
-        exit 1
-    }
-done
-echo "==> hierarchy smoke passed ($HIER_OUT)"
-
 echo "==> serve smoke: cold + warm client against a live server"
 # Start the server on a private Unix socket, run the example client
 # twice (different client names), and check the serving contract:
@@ -339,7 +277,7 @@ echo "==> serve scale smoke passed ($SCALE_OUT)"
 echo "==> snapshot smoke: durable warm-cache round trip through store and wire"
 # The durable-warmth gate: run the same tiny round cold, warm from an
 # on-disk SnapshotStore (simulated restart) and warm from encoded
-# fastsim-snapshot/v1 bytes (simulated shipping). The bench exits
+# fastsim-snapshot/v2 bytes (simulated shipping). The bench exits
 # nonzero unless all three legs are bit-identical and both warmed legs
 # hit at >= 0.9, so a codec or store regression fails before the grep.
 SNAP_OUT="target/bench_snapshot_smoke.json"
@@ -360,10 +298,9 @@ echo "==> snapshot smoke passed ($SNAP_OUT)"
 echo "==> fuzz smoke: 500 generated kernels through the differential oracle"
 # Fixed seed, fully offline: replay the checked-in fuzz/corpus/ golden
 # seeds, then generate 500 random kernels and require bit-identical
-# fast==slow statistics across all hierarchy presets × GC policies ×
-# replay strategies (node-at-a-time vs eagerly and adaptively
-# trace-compiled), plus the freeze/thaw/merge lifecycle. On top of the
-# differential sweep, frozen caches are encoded to fastsim-snapshot/v1
+# fast==slow statistics across all hierarchy presets × GC policies,
+# plus the freeze/thaw/merge lifecycle. On top of the
+# differential sweep, frozen caches are encoded to fastsim-snapshot/v2
 # and attacked with seeded corruption — every effective mutation must be
 # rejected with a typed error, never absorbed or panicked on — and
 # seeded fastsim-journal/v1 record streams face the same sweep under the

@@ -9,7 +9,7 @@
 
 use fastsim_fuzz::{check, run_fuzz, FaultInjection, OracleConfig};
 
-/// The injected-bug oracle: single preset/policy/hotness (the bug is not
+/// The injected-bug oracle: single preset and policy (the bug is not
 /// matrix-dependent), no lifecycle, fault injection on.
 fn faulty_cfg() -> OracleConfig {
     let mut cfg = OracleConfig::quick();

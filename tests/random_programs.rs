@@ -11,8 +11,7 @@
 //!
 //! * FastSim (memoized) and SlowSim (memoization off) report *identical*
 //!   cycle counts, retirement counts, cache and per-level statistics —
-//!   under every GC policy and replay strategy (node-at-a-time,
-//!   trace-compiled, chained);
+//!   under every GC policy;
 //! * two identical fast runs are bit-identical (`SimStats` and
 //!   `MemoStats`) — run-to-run determinism;
 //! * the freeze/thaw/merge batch lifecycle reproduces the same stats;
@@ -38,8 +37,8 @@ fn random_fastsim_is_exact_across_presets() {
             ),
         }
     });
-    // 24 kernels × (1 slow + 8 fast + 2 determinism reruns) × 3 presets,
-    // plus the first-preset batch lifecycle — the sweep really covered
-    // the whole matrix.
-    assert!(runs >= 24 * 3 * 9, "expected a full matrix sweep, got {runs} runs");
+    // 24 kernels × ((1 slow + 4 fast + 2 determinism reruns) × 3 presets
+    // + 3 batch-lifecycle jobs on the first preset) — the sweep really
+    // covered the whole matrix.
+    assert_eq!(runs, 24 * (7 * 3 + 3), "expected a full matrix sweep");
 }

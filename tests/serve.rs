@@ -811,7 +811,7 @@ fn refreezes_that_change_nothing_are_not_persisted() {
     let mut client = Client::connect_unix(&socket).expect("connect");
 
     // The same small job over and over: every merge re-freezes, and once
-    // the group is warm (its replay hotness settled too) a re-freeze hands
+    // the group is warm a re-freeze hands
     // back the snapshot it already had.
     for round in 0..ROUNDS {
         client

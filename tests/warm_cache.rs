@@ -3,7 +3,7 @@
 //! model reuses the first run's p-action cache and fast-forwards almost
 //! from the first cycle — while still producing identical results.
 
-use fastsim::core::{CacheConfig, Mode, Policy, Simulator, UArchConfig};
+use fastsim::core::{CacheConfig, HierarchyConfig, Mode, Policy, Simulator, UArchConfig};
 use fastsim::workloads::{all, by_name};
 
 /// Runs a workload cold and returns (stats, frozen warm snapshot).
@@ -236,34 +236,168 @@ fn snapshot_rejects_a_different_model() {
     }
 }
 
+/// Every workload restarts warm both ways — handing the cache over and
+/// thawing a frozen snapshot of it — and both warm runs reproduce the cold
+/// run's results and each other's statistics exactly.
 #[test]
 fn every_workload_survives_a_warm_restart() {
     for w in all() {
         let program = w.program_for_insts(20_000);
         let mut cold = Simulator::new(&program, Mode::fast()).expect(w.name);
         cold.run_to_completion().expect(w.name);
-        let cycles = cold.stats().cycles;
+        let cold_stats = *cold.stats();
+        let cold_output = cold.output().to_vec();
         let cache = cold.take_warm_cache().expect(w.name);
-        let mut warm = Simulator::with_warm_cache(
-            &program,
-            cache,
-            UArchConfig::table1(),
-            CacheConfig::table1(),
-        )
-        .expect(w.name);
-        warm.run_to_completion().expect(w.name);
-        assert_eq!(warm.stats().cycles, cycles, "{}", w.name);
+        let snapshot = cache.freeze();
+        let (uarch, hier) = (UArchConfig::table1(), CacheConfig::table1());
+        let mut handed = Simulator::with_warm_cache(&program, cache, uarch, hier).expect(w.name);
+        handed.run_to_completion().expect(w.name);
+        let mut thawed =
+            Simulator::with_warm_snapshot(&program, &snapshot, uarch, hier).expect(w.name);
+        thawed.run_to_completion().expect(w.name);
+        for (how, warm) in [("handed over", &handed), ("thawed", &thawed)] {
+            let ctx = format!("{} ({how})", w.name);
+            assert_eq!(warm.stats().cycles, cold_stats.cycles, "{ctx}: cycles");
+            assert_eq!(warm.stats().retired_insts, cold_stats.retired_insts, "{ctx}: insts");
+            assert_eq!(warm.output(), cold_output, "{ctx}: output");
+        }
+        assert_eq!(thawed.stats(), handed.stats(), "{}: thawed vs handed-over SimStats", w.name);
+        assert_eq!(thawed.output(), handed.output(), "{}: thawed vs handed-over output", w.name);
+    }
+}
+
+/// Warm replay stays bit-identical to the cold run at every hierarchy
+/// depth, on an integer and a floating-point kernel: cycles, retirement,
+/// output, and aggregate and per-level cache statistics.
+#[test]
+fn warm_replay_identical_at_every_depth() {
+    for preset in HierarchyConfig::preset_names() {
+        let hier = HierarchyConfig::preset(preset).expect("named preset");
+        for name in ["compress", "tomcatv"] {
+            let ctx = format!("{preset}/{name}");
+            let w = by_name(name).expect("workload exists");
+            let program = w.program_for_insts(40_000);
+            let mut cold =
+                Simulator::with_configs(&program, Mode::fast(), UArchConfig::table1(), hier.clone())
+                    .expect("cold builds");
+            cold.run_to_completion().expect("cold completes");
+            let cold_stats = *cold.stats();
+            let cold_output = cold.output().to_vec();
+            let cold_cache = *cold.cache_stats();
+            let cold_levels = cold.cache_level_stats().to_vec();
+            let snap = cold.take_warm_cache().expect("fast mode").freeze();
+
+            let mut warm =
+                Simulator::with_warm_snapshot(&program, &snap, UArchConfig::table1(), hier.clone())
+                    .expect("warm builds");
+            warm.run_to_completion().expect("warm completes");
+            // Warmth moves work from detailed simulation to replay, never
+            // the outcome.
+            let s = warm.stats();
+            assert_eq!(s.cycles, cold_stats.cycles, "{ctx}: cycles");
+            assert_eq!(s.retired_insts, cold_stats.retired_insts, "{ctx}: insts");
+            assert_eq!(s.retired_loads, cold_stats.retired_loads, "{ctx}: loads");
+            assert_eq!(s.retired_stores, cold_stats.retired_stores, "{ctx}: stores");
+            assert_eq!(s.retired_branches, cold_stats.retired_branches, "{ctx}: branches");
+            assert_eq!(warm.output(), cold_output, "{ctx}: output");
+            assert_eq!(*warm.cache_stats(), cold_cache, "{ctx}: cache stats");
+            assert_eq!(warm.cache_level_stats(), cold_levels, "{ctx}: per-level cache stats");
+        }
+    }
+}
+
+/// Budget pauses are transparent under every replacement policy, from a
+/// cold start and from a thawed snapshot (the deadline-chunk path of
+/// `batch::run_single`): a run chopped into slices of 1 or 500
+/// instructions equals the uninterrupted run in every statistic.
+///
+/// This is the safety condition of the replay loop's node-id fallback
+/// anchor: a paused replay resumes, and later falls back, through the id
+/// of the last configuration head it crossed, so nothing may relocate or
+/// drop nodes in between. The limited policies must actually flush or
+/// collect here, or the test would never put an arena change into a run.
+#[test]
+fn budget_pauses_are_transparent() {
+    let limit = 16 << 10;
+    let w = by_name("129.compress").expect("workload exists");
+    let program = w.program_for_insts(40_000);
+    let (uarch, hier) = (UArchConfig::table1(), CacheConfig::table1());
+    let mut slow = Simulator::new(&program, Mode::Slow).expect("builds");
+    slow.run_to_completion().expect("completes");
+
+    for policy in [
+        Policy::Unbounded,
+        Policy::FlushOnFull { limit },
+        Policy::CopyingGc { limit },
+        Policy::GenerationalGc { limit },
+    ] {
+        let mut seed = Simulator::with_configs(&program, Mode::Fast { policy }, uarch, hier)
+            .expect("builds");
+        seed.run_to_completion().expect("completes");
+        let snap = seed.take_warm_cache().expect("fast mode").freeze();
+        let build = |thawed: bool| {
+            if thawed {
+                Simulator::with_warm_snapshot(&program, &snap, uarch, hier)
+            } else {
+                Simulator::with_configs(&program, Mode::Fast { policy }, uarch, hier)
+            }
+            .expect("builds")
+        };
+        let memo = |sim: &Simulator| *sim.memo_stats().expect("fast mode");
+
+        for thawed in [false, true] {
+            let ctx = format!("{policy:?}, thawed {thawed}");
+            let mut whole = build(thawed);
+            whole.run_to_completion().expect("completes");
+            assert_eq!(whole.stats().cycles, slow.stats().cycles, "{ctx}: cycles vs SlowSim");
+            assert_eq!(
+                whole.stats().retired_insts,
+                slow.stats().retired_insts,
+                "{ctx}: retirement vs SlowSim"
+            );
+            assert_eq!(whole.cache_stats(), slow.cache_stats(), "{ctx}: cache stats vs SlowSim");
+            assert_eq!(
+                whole.cache_level_stats(),
+                slow.cache_level_stats(),
+                "{ctx}: per-level cache stats vs SlowSim"
+            );
+            if policy.limit().is_some() {
+                let (run, inherited) = (memo(&whole), *snap.stats());
+                let before = if thawed { inherited.flushes + inherited.collections } else { 0 };
+                assert!(
+                    run.flushes + run.collections > before,
+                    "{ctx}: the limited policy must flush or collect during the run"
+                );
+            }
+
+            for slice in [1, 500] {
+                let ctx = format!("{ctx}, slices of {slice}");
+                let mut sliced = build(thawed);
+                while !sliced.finished() {
+                    sliced.run(slice).expect("slice runs");
+                }
+                assert_eq!(sliced.stats(), whole.stats(), "{ctx}: SimStats");
+                assert_eq!(sliced.output(), whole.output(), "{ctx}: output");
+                assert_eq!(sliced.cache_stats(), whole.cache_stats(), "{ctx}: cache stats");
+                assert_eq!(memo(&sliced), memo(&whole), "{ctx}: MemoStats");
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------
-// Golden `fastsim-snapshot/v1` fixture: byte-layout pinning and the
+// Golden `fastsim-snapshot/v2` fixture: byte-layout pinning and the
 // rejection matrix for the durable-store wire format (docs/snapshots.md).
 // ---------------------------------------------------------------------
 
 /// Path of the committed golden encoding.
 const GOLDEN_SNAPSHOT: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/compress_10k_table1.snap");
+
+/// The same run in the retired `fastsim-snapshot/v1` encoding, which
+/// carried three more sections for trace-compiled replay segments.
+const GOLDEN_SNAPSHOT_V1: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/compress_10k_table1.v1.snap");
 
 /// The deterministic run the golden fixture freezes: `compress` at
 /// 10 000 instructions under the Table 1 model, unbounded policy.
@@ -297,7 +431,7 @@ fn golden_snapshot_byte_layout_is_pinned() {
     assert_eq!(
         snapshot.encode(),
         golden,
-        "encoder no longer reproduces the committed fastsim-snapshot/v1 bytes \
+        "encoder no longer reproduces the committed fastsim-snapshot/v2 bytes \
          (if intentional: bump the format version and regenerate the fixture)"
     );
 
@@ -377,4 +511,44 @@ fn golden_snapshot_rejection_matrix() {
     let mut bad = golden.clone();
     bad.push(0);
     assert!(matches!(decode(&bad, None), Err(E::TrailingBytes { .. })));
+}
+
+/// Splits an encoded snapshot into its sections' `(tag, payload)` pairs,
+/// trusting the framing (the fixtures are known-good).
+fn snapshot_sections(bytes: &[u8]) -> Vec<(u32, &[u8])> {
+    let word = |at: usize, n: usize| {
+        bytes[at..at + n].iter().rev().fold(0u64, |v, &b| (v << 8) | u64::from(b))
+    };
+    let (mut pos, mut out) = (32, Vec::new());
+    while pos < bytes.len() {
+        let (tag, len) = (word(pos, 4) as u32, word(pos + 4, 8) as usize);
+        out.push((tag, &bytes[pos + 12..pos + 12 + len]));
+        pos += 12 + len + 8;
+    }
+    out
+}
+
+#[test]
+fn golden_v1_snapshot_is_rejected_and_v2_keeps_its_content() {
+    // A v1 file is a typed rejection: a store holding one boots cold.
+    use fastsim::core::SnapshotDecodeError as E;
+    let v1 = std::fs::read(GOLDEN_SNAPSHOT_V1).expect("v1 fixture is committed");
+    let v2 = std::fs::read(GOLDEN_SNAPSHOT).expect("golden fixture is committed");
+    assert!(matches!(
+        fastsim::core::WarmCacheSnapshot::decode(&v1, None),
+        Err(E::UnsupportedVersion { found: 1 })
+    ));
+
+    // v2 is v1 without its last three sections (sections 5-7, which held
+    // replay segments) and without the seven counters at the end of
+    // `stats`: the
+    // same run's meta, nodes and index are byte for byte what v1 held.
+    let (old, new) = (snapshot_sections(&v1), snapshot_sections(&v2));
+    let tags = |s: &[(u32, &[u8])]| s.iter().map(|(t, _)| *t).collect::<Vec<_>>();
+    assert_eq!(tags(&old), [1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(tags(&new), [1, 2, 3, 4]);
+    for (i, name) in [(0, "meta"), (2, "nodes"), (3, "index")] {
+        assert_eq!(new[i].1, old[i].1, "{name} payload changed");
+    }
+    assert_eq!(new[1].1, &old[1].1[..10 * 8], "stats: v1's first ten counters");
 }
