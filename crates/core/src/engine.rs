@@ -647,9 +647,10 @@ pub struct Simulator {
     /// The last configuration head replay crossed: the fallback anchor,
     /// kept as a node id rather than a copy of the configuration's bytes.
     /// Nothing relocates or drops a node between a crossing and the
-    /// fallback or budget-pause resume that reads it: the replacement
-    /// policy runs only on a [`PActionCache::register_config`] miss, which
-    /// happens in detailed mode.
+    /// fallback that reads it, budget pauses in between included: the
+    /// replacement policy runs only on a
+    /// [`PActionCache::register_config`] miss, which happens in detailed
+    /// mode.
     anchor: NodeId,
     /// Reusable scratch buffer for per-cycle configuration encoding: the
     /// hot path never allocates once this reaches steady-state capacity.
