@@ -2,8 +2,8 @@
 //!
 //! Replays the checked-in corpus (if given), then generates and checks a
 //! fixed-seed batch of random kernels against the full oracle matrix
-//! (all hierarchy presets × GC policies, plus the
-//! freeze/thaw/merge lifecycle), and writes a schema-tagged JSON summary
+//! (all hierarchy presets × GC policies, plus the freeze/thaw/merge
+//! lifecycle), and writes a schema-tagged JSON summary
 //! for `scripts/ci.sh` to gate on.
 //!
 //! ```text

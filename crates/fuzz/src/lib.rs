@@ -10,8 +10,8 @@
 //!    synthetic kernels (instruction mixes, branch topologies, memory
 //!    strides, loop nests); [`oracle`] runs each through the detailed
 //!    baseline and the memoized fast path across hierarchy presets, GC
-//!    policies and freeze/thaw/merge cycles,
-//!    demanding bit-identical statistics; [`shrink()`] minimizes failures;
+//!    policies and freeze/thaw/merge cycles, demanding bit-identical
+//!    statistics; [`shrink()`] minimizes failures;
 //!    [`corpus`] persists replayable seed files into `fuzz/corpus/`.
 //! 2. **Serve-path chaos** — [`chaos`] drives a seeded fault storm
 //!    (malformed and partial frames, deadline storms, per-job panics)

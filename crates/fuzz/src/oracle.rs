@@ -4,9 +4,8 @@
 //! (`Mode::Slow`) and the memoized fast path under a configurable matrix
 //! of hierarchy presets × GC policies, plus a freeze/thaw/merge cycle
 //! through [`BatchDriver`], and demands bit-identical statistics
-//! everywhere — the
-//! paper's central claim, under arbitrary inputs instead of hand-picked
-//! workloads.
+//! everywhere — the paper's central claim, under arbitrary inputs instead
+//! of hand-picked workloads.
 //!
 //! For harness self-tests, [`FaultInjection`] perturbs the *observed*
 //! fast-path statistics before comparison, simulating a replay accounting
@@ -88,8 +87,7 @@ impl OracleConfig {
     }
 
     /// A single-variant configuration (first preset, unbounded policy, no
-    /// lifecycle) — the cheap oracle the shrinker
-    /// calls hundreds of times.
+    /// lifecycle) — the cheap oracle the shrinker calls hundreds of times.
     pub fn quick() -> OracleConfig {
         OracleConfig {
             presets: vec!["table1".to_string()],

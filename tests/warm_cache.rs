@@ -516,12 +516,10 @@ fn golden_snapshot_rejection_matrix() {
 /// Splits an encoded snapshot into its sections' `(tag, payload)` pairs,
 /// trusting the framing (the fixtures are known-good).
 fn snapshot_sections(bytes: &[u8]) -> Vec<(u32, &[u8])> {
-    let word = |at: usize, n: usize| {
-        bytes[at..at + n].iter().rev().fold(0u64, |v, &b| (v << 8) | u64::from(b))
-    };
     let (mut pos, mut out) = (32, Vec::new());
     while pos < bytes.len() {
-        let (tag, len) = (word(pos, 4) as u32, word(pos + 4, 8) as usize);
+        let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
         out.push((tag, &bytes[pos + 12..pos + 12 + len]));
         pos += 12 + len + 8;
     }
