@@ -236,9 +236,8 @@ fn snapshot_rejects_a_different_model() {
     }
 }
 
-/// Every workload restarts warm both ways — handing the cache over and
-/// thawing a frozen snapshot of it — and both warm runs reproduce the cold
-/// run's results and each other's statistics exactly.
+/// Every workload restarts warm from a handed-over cache and reproduces
+/// the cold run's results exactly.
 #[test]
 fn every_workload_survives_a_warm_restart() {
     for w in all() {
@@ -248,21 +247,59 @@ fn every_workload_survives_a_warm_restart() {
         let cold_stats = *cold.stats();
         let cold_output = cold.output().to_vec();
         let cache = cold.take_warm_cache().expect(w.name);
+        let mut warm = Simulator::with_warm_cache(
+            &program,
+            cache,
+            UArchConfig::table1(),
+            CacheConfig::table1(),
+        )
+        .expect(w.name);
+        warm.run_to_completion().expect(w.name);
+        assert_eq!(warm.stats().cycles, cold_stats.cycles, "{}: cycles", w.name);
+        assert_eq!(warm.stats().retired_insts, cold_stats.retired_insts, "{}: insts", w.name);
+        assert_eq!(warm.output(), cold_output, "{}: output", w.name);
+    }
+}
+
+/// Warm replay from a thawed snapshot is bit-identical on every workload
+/// of the bench sweep: it reproduces the cold run's results, equals a run
+/// warmed by the handed-over (never frozen) cache in every statistic, and
+/// simulates fewer instructions in detail than the cold run did.
+#[test]
+fn warm_replay_identical_on_every_workload() {
+    for w in all() {
+        let program = w.program_for_insts(40_000);
+        let mut cold = Simulator::new(&program, Mode::fast()).expect("cold builds");
+        cold.run_to_completion().expect("cold completes");
+        let cold_stats = *cold.stats();
+        let cold_output = cold.output().to_vec();
+        let cache = cold.take_warm_cache().expect("fast mode");
         let snapshot = cache.freeze();
         let (uarch, hier) = (UArchConfig::table1(), CacheConfig::table1());
-        let mut handed = Simulator::with_warm_cache(&program, cache, uarch, hier).expect(w.name);
-        handed.run_to_completion().expect(w.name);
+        let mut handed =
+            Simulator::with_warm_cache(&program, cache, uarch, hier).expect("handed-over builds");
+        handed.run_to_completion().expect("handed-over completes");
         let mut thawed =
-            Simulator::with_warm_snapshot(&program, &snapshot, uarch, hier).expect(w.name);
-        thawed.run_to_completion().expect(w.name);
-        for (how, warm) in [("handed over", &handed), ("thawed", &thawed)] {
-            let ctx = format!("{} ({how})", w.name);
-            assert_eq!(warm.stats().cycles, cold_stats.cycles, "{ctx}: cycles");
-            assert_eq!(warm.stats().retired_insts, cold_stats.retired_insts, "{ctx}: insts");
-            assert_eq!(warm.output(), cold_output, "{ctx}: output");
-        }
-        assert_eq!(thawed.stats(), handed.stats(), "{}: thawed vs handed-over SimStats", w.name);
+            Simulator::with_warm_snapshot(&program, &snapshot, uarch, hier).expect("thawed builds");
+        thawed.run_to_completion().expect("thawed completes");
+
+        let s = thawed.stats();
+        assert_eq!(s.cycles, cold_stats.cycles, "{}: cycles", w.name);
+        assert_eq!(s.retired_insts, cold_stats.retired_insts, "{}: insts", w.name);
+        assert_eq!(thawed.output(), cold_output, "{}: output", w.name);
+        assert_eq!(s, handed.stats(), "{}: thawed vs handed-over SimStats", w.name);
         assert_eq!(thawed.output(), handed.output(), "{}: thawed vs handed-over output", w.name);
+        let tm = thawed.memo_stats().expect("fast mode");
+        let hm = handed.memo_stats().expect("fast mode");
+        assert_eq!(tm.static_configs, hm.static_configs, "{}: static_configs", w.name);
+        assert_eq!(tm.static_actions, hm.static_actions, "{}: static_actions", w.name);
+        assert!(
+            s.detailed_insts < cold_stats.detailed_insts,
+            "{}: warm replay must take over detailed work ({} vs cold {})",
+            w.name,
+            s.detailed_insts,
+            cold_stats.detailed_insts
+        );
     }
 }
 
