@@ -166,3 +166,160 @@ fn within_round_replicas_share_the_frozen_snapshot() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Merge pin: every merge's outcome and every master's content after each
+// round, committed as a golden table. The tests above compare runs with
+// each other, so a change that moves every run the same way passes them;
+// this table does not.
+// ---------------------------------------------------------------------
+
+/// Path of the committed merge table.
+const MERGE_PIN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/merge_pin.tsv");
+
+/// Rounds the pinned job list runs.
+const MERGE_PIN_ROUNDS: usize = 3;
+
+/// One pinned group: its label, its job (run twice per round), and, for a
+/// group seeded before round 1, the limit of the flush-on-full cold run
+/// whose warm cache it imports.
+struct PinGroup {
+    label: String,
+    job: BatchJob,
+    seed_limit: Option<usize>,
+}
+
+/// The pinned groups, one per kernel × preset under an unbounded cache.
+/// Half of them start from an imported snapshot of a cold run that flushed:
+/// that master lacks outcomes the full run sees, so their jobs graft
+/// branches onto inherited nodes. Three more groups run under small
+/// limits, so their working copies flush (and merge with `base_len = 0`)
+/// or collect.
+fn merge_pin_groups() -> Vec<PinGroup> {
+    use fastsim::memo::Policy;
+    const INSTS: u64 = 20_000;
+    let mut groups = Vec::new();
+    let mut add = |kernel: &str, preset: &str, policy: Policy, seed_limit: Option<usize>| {
+        let w = fastsim::workloads::by_name(kernel).expect("kernel exists");
+        let mut job = BatchJob::new(w.name, w.program_for_insts(INSTS));
+        job.hierarchy = HierarchyConfig::preset(preset).expect("named preset");
+        job.policy = policy;
+        let policy_name = match policy {
+            Policy::Unbounded => "unbounded".to_string(),
+            Policy::FlushOnFull { limit } => format!("flush-{limit}"),
+            Policy::CopyingGc { limit } => format!("gc-{limit}"),
+            Policy::GenerationalGc { limit } => format!("gen-{limit}"),
+        };
+        let seed = seed_limit.map_or(String::new(), |l| format!("+seed-{l}"));
+        groups.push(PinGroup {
+            label: format!("{}@{preset}/{policy_name}{seed}", w.name),
+            job,
+            seed_limit,
+        });
+    };
+    for (kernel, seed_limit) in
+        [("compress", Some(8 << 10)), ("vortex", None), ("su2cor", Some(8 << 10)), ("fpppp", None)]
+    {
+        for &preset in HierarchyConfig::preset_names() {
+            add(kernel, preset, Policy::Unbounded, seed_limit);
+        }
+    }
+    add("li", "table1", Policy::FlushOnFull { limit: 16 << 10 }, None);
+    add("go", "table1", Policy::CopyingGc { limit: 32 << 10 }, None);
+    add("perl", "table1", Policy::GenerationalGc { limit: 32 << 10 }, None);
+    groups
+}
+
+/// One row per merge (every `MergeOutcome` field) and, after each round,
+/// one row per group master with the `hash64` of its encoded snapshot —
+/// which covers its nodes, edge order, accessed and tenured bits,
+/// statistics, version and configuration index. Round 0 holds the seeding
+/// imports.
+fn merge_pin_table() -> String {
+    use fastsim::core::{Mode, Simulator};
+    use fastsim::memo::{encode_snapshot, MergeOutcome, Policy};
+    let groups = merge_pin_groups();
+    let jobs: Vec<BatchJob> =
+        groups.iter().flat_map(|g| [g.job.clone(), g.job.clone()]).collect();
+    let mut driver = BatchDriver::new(1);
+    let mut out = String::from(
+        "round\trow\tgroup\tconfigs_added\tactions_added\tbranches_grafted\t\
+         configs_deduped\tbytes_added\tmaster_hash\n",
+    );
+    let merge_row = |out: &mut String, round: usize, row: &str, label: &str, m: MergeOutcome| {
+        out.push_str(&format!(
+            "{round}\t{row}\t{label}\t{}\t{}\t{}\t{}\t{}\t-\n",
+            m.configs_added, m.actions_added, m.branches_grafted, m.configs_deduped, m.bytes_added
+        ));
+    };
+    let master_rows = |out: &mut String, round: usize, driver: &BatchDriver| {
+        for g in &groups {
+            let fp = g.job.fingerprint();
+            let Some(master) = driver.warm_snapshot(fp) else { continue };
+            let hash = fastsim_hash::hash64(&encode_snapshot(master.cache(), fp));
+            out.push_str(&format!("{round}\tmaster\t{}\t-\t-\t-\t-\t-\t{hash:016x}\n", g.label));
+        }
+    };
+    for g in &groups {
+        let Some(limit) = g.seed_limit else { continue };
+        let policy = Policy::FlushOnFull { limit };
+        let mut cold = Simulator::with_configs(
+            &g.job.program,
+            Mode::Fast { policy },
+            g.job.uarch,
+            g.job.hierarchy.clone(),
+        )
+        .expect("seed run builds");
+        cold.run_to_completion().expect("seed run completes");
+        let seed = cold.take_warm_cache().expect("fast mode").freeze();
+        driver.ensure_group(&g.job);
+        let m = driver.import_snapshot(&seed).expect("the group exists, so the import merges");
+        merge_row(&mut out, 0, "import", &g.label, m);
+    }
+    master_rows(&mut out, 0, &driver);
+    for round in 1..=MERGE_PIN_ROUNDS {
+        let report = driver.run_round(&jobs).expect("round runs");
+        for (i, job) in report.jobs.iter().enumerate() {
+            let label = format!("{}#{}", groups[i / 2].label, i % 2);
+            merge_row(&mut out, round, "merge", &label, job.merge);
+        }
+        master_rows(&mut out, round, &driver);
+    }
+    out
+}
+
+/// Regenerates the committed table. Run explicitly after an
+/// *intentional* change to what merges produce:
+/// `cargo test --test batch_determinism regenerate_merge_pin -- --ignored`
+#[test]
+#[ignore = "maintenance: rewrites the committed merge pin"]
+fn regenerate_merge_pin_fixture() {
+    std::fs::write(MERGE_PIN, merge_pin_table()).expect("write fixture");
+}
+
+#[test]
+fn merges_match_the_committed_pin() {
+    let golden = std::fs::read_to_string(MERGE_PIN).expect("merge pin is committed");
+    // The pin must see the merge paths it exists for: grafts onto
+    // inherited nodes and first-writer-wins configuration dedup.
+    let column_sum = |col: usize| -> u64 {
+        golden
+            .lines()
+            .skip(1)
+            .filter(|l| l.split('\t').nth(1) == Some("merge"))
+            .map(|l| l.split('\t').nth(col).expect("column").parse::<u64>().expect("count"))
+            .sum()
+    };
+    assert!(column_sum(5) > 0, "no merge in the pin grafts a branch");
+    assert!(column_sum(6) > 0, "no merge in the pin dedups a configuration");
+    let fresh = merge_pin_table();
+    for (i, (want, got)) in golden.lines().zip(fresh.lines()).enumerate() {
+        assert_eq!(
+            got, want,
+            "row {i} of tests/fixtures/merge_pin.tsv changed \
+             (if the merge change is intentional: regenerate the pin)"
+        );
+    }
+    assert_eq!(fresh.lines().count(), golden.lines().count(), "row count changed");
+    assert_eq!(fresh, golden, "merge pin differs byte for byte");
+}
