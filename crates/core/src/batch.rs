@@ -344,7 +344,7 @@ pub fn run_single(
     let level_stats = sim.cache_level_stats().to_vec();
     let memo = *sim.memo_stats().expect("batch jobs always run FastSim");
     let warm = sim.take_warm_cache().expect("FastSim run yields a warm cache");
-    let delta = warm.into_pcache().freeze();
+    let delta = warm.into_pcache().into_snapshot();
     let inherited = snapshot.stats();
     Ok(SingleOutcome {
         report: JobReport {

@@ -482,7 +482,11 @@ impl Shared {
         self.stats.config_visits += 1;
     }
 
-    /// Applies the queue pops and counter updates of retirement.
+    /// Applies the queue pops and counter updates of retirement. Always
+    /// inlined: replay applies one per `Advance` action, and whether the
+    /// optimizer inlines it on its own shifts with the size of the loop
+    /// around it.
+    #[inline(always)]
     fn apply_retire(&mut self, r: RetireCounts, replayed: bool) {
         for _ in 0..r.loads {
             self.emu.pop_load().expect("retired load has an lQ entry");
@@ -988,18 +992,19 @@ impl Simulator {
         budget_end: u64,
     ) -> Result<bool, SimError> {
         loop {
+            // One read of the node serves the whole action.
+            let node = pc.node(cursor);
             // Crossing a configuration: the new fallback anchor.
-            if pc.is_config_head(cursor) {
+            if node.is_config_head() {
                 self.anchor = cursor;
                 self.shared.cross_config();
             }
-            let kind = pc.kind(cursor);
             self.count_replayed();
-            let (next, key) = match kind {
+            let (next, key) = match node.kind() {
                 ActionKind::Advance { cycles, retired } => {
                     // Only retirement moves the budget: pause at the successor.
                     let paused = self.replay_advance(cycles, retired, budget_end);
-                    match pc.advance(cursor) {
+                    match pc.successor_of(&node) {
                         Some(n) if paused => {
                             self.mode = EngineMode::Replay { cursor: n };
                             return Ok(false);
@@ -1013,8 +1018,8 @@ impl Simulator {
                     return Ok(true);
                 }
                 env => match self.shared.replay(env)? {
-                    Some(key) => (pc.branch_to(cursor, key), Some(key)),
-                    None => (pc.advance(cursor), None),
+                    Some(key) => (pc.branch_of(&node, key), Some(key)),
+                    None => (pc.successor_of(&node), None),
                 },
             };
             cursor = match next {

@@ -33,7 +33,7 @@ mod snapshot;
 mod wire;
 
 pub use action::{ActionKind, NodeId, OutcomeKey, RetireCounts};
-pub use cache::{ConfigLookup, MemoStats, PActionCache};
+pub use cache::{ConfigLookup, MemoStats, Node, PActionCache};
 pub use policy::Policy;
 pub use snapshot::{CacheSnapshot, MergeOutcome};
 pub use wire::{
