@@ -205,10 +205,40 @@ const MODEL_PIN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/mod
 /// Instructions each pinned run asks its kernel for.
 const MODEL_PIN_INSTS: u64 = 20_000;
 
-/// One tab-separated row per kernel × hierarchy preset: a cold FastSim
-/// run under the Table 1 pipeline, with every `SimStats` field, the
-/// memoization counters that follow from the recorded chains, and each
-/// cache level's counters (`-` where the preset has fewer levels).
+/// A fourth pinned hierarchy, built here rather than offered as a library
+/// preset: three small write-back levels with few MSHRs. Every preset's L2
+/// and L3 write back nothing and never run out of MSHRs at the pin's
+/// size, so without these rows a fault confined to the lower levels'
+/// writeback or MSHR accounting would pass.
+fn small_write_back() -> fastsim::core::HierarchyConfig {
+    use fastsim::mem::{CacheLevelConfig, HierarchyConfig, WritePolicy};
+    let level = |bytes, line, hit_latency, miss_latency, mshrs| CacheLevelConfig {
+        bytes,
+        assoc: 2,
+        line,
+        hit_latency,
+        miss_latency,
+        mshrs,
+        write_policy: WritePolicy::WriteBack,
+    };
+    let hier = HierarchyConfig {
+        levels: vec![
+            level(1024, 32, 1, 6, 2),
+            level(2 * 1024, 32, 0, 10, 1),
+            level(4 * 1024, 64, 2, 0, 1),
+        ],
+        memory_latency: 40,
+        bus_bytes: 16,
+    };
+    hier.validate().expect("valid hierarchy");
+    hier
+}
+
+/// One tab-separated row per kernel × pinned hierarchy (the presets, then
+/// [`small_write_back`]): a cold FastSim run under the Table 1 pipeline,
+/// with every `SimStats` field, the memoization counters that follow from
+/// the recorded chains, and each cache level's counters (`-` where the
+/// hierarchy has fewer levels).
 fn model_pin_table() -> String {
     use fastsim::core::{HierarchyConfig, UArchConfig};
     const MAX_DEPTH: usize = 3;
@@ -225,8 +255,11 @@ fn model_pin_table() -> String {
         }
     }
     out.push('\n');
-    for &preset in HierarchyConfig::preset_names() {
-        let hier = HierarchyConfig::preset(preset).expect("named preset");
+    let hierarchies = HierarchyConfig::preset_names()
+        .iter()
+        .map(|&p| (p, HierarchyConfig::preset(p).expect("named preset")))
+        .chain([("small-write-back", small_write_back())]);
+    for (preset, hier) in hierarchies {
         assert!(hier.depth() <= MAX_DEPTH, "{preset}: widen the level columns");
         for w in fastsim::workloads::all() {
             let program = w.program_for_insts(MODEL_PIN_INSTS);
@@ -311,6 +344,20 @@ fn regenerate_model_pin_fixture() {
 #[test]
 fn model_answers_match_the_committed_pin() {
     let golden = std::fs::read_to_string(MODEL_PIN).expect("model pin is committed");
+    // The pin must see the lower levels' writebacks and MSHR stalls.
+    let header: Vec<&str> = golden.lines().next().expect("header").split('\t').collect();
+    for level in ["l2", "l3"] {
+        for field in ["mshr_stall_cycles", "writebacks"] {
+            let name = format!("{level}_{field}");
+            let col = header.iter().position(|h| *h == name).expect("pinned column");
+            assert!(
+                golden.lines().skip(1).any(|row| {
+                    row.split('\t').nth(col).is_some_and(|v| v != "0" && v != "-")
+                }),
+                "{name} is 0 in every row of the model pin"
+            );
+        }
+    }
     let fresh = model_pin_table();
     for (i, (want, got)) in golden.lines().zip(fresh.lines()).enumerate() {
         assert_eq!(
