@@ -393,7 +393,10 @@ impl SpecEmulator {
             .iter()
             .position(|c| c.ctrl_seq == ctrl_seq)
             .unwrap_or_else(|| panic!("no checkpoint for control record {ctrl_seq}"));
-        let cp = self.bq[pos].clone();
+        // The checkpoint and every younger one are discarded: move it out
+        // of the bQ rather than copying it.
+        self.bq.truncate(pos + 1);
+        let cp = self.bq.pop().expect("checkpoint at `pos`");
         // Undo wrong-path stores, newest first (paper: "all pre-store
         // memory values following the mispredicted branch are restored, in
         // reverse order").
@@ -416,7 +419,6 @@ impl SpecEmulator {
         self.output.truncate(cp.out_len);
         self.halted = false;
         self.blocked = false;
-        self.bq.truncate(pos);
         self.stats.rollbacks += 1;
         cp.correct_next
     }
