@@ -11,6 +11,12 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release -q -p fastsim-memo -p fastsim-core"
+# The p-action cache's flat arenas link nodes and edges by u32 index with a
+# u32::MAX sentinel: their tests must also pass with debug assertions and
+# overflow checks compiled out, the way every benchmark and server runs.
+cargo test --release -q -p fastsim-memo -p fastsim-core
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
