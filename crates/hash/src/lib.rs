@@ -20,9 +20,13 @@
 //!
 //! It also holds the workspace's one FNV-1a fold ([`FNV1A_OFFSET`],
 //! [`fnv1a_lane`], [`fnv1a`]), behind the warm-cache fingerprint and the
-//! job journal's record checksums.
+//! job journal's record checksums, and the one record framing ([`frame`])
+//! under both durable formats, the warm-cache snapshot and the job
+//! journal.
 
 #![deny(missing_docs)]
+
+pub mod frame;
 
 /// Multiplier from FxHash (the golden-ratio constant also used by
 /// SplitMix64's increment), applied per 8-byte lane.

@@ -11,15 +11,10 @@
 //! ## On-disk format
 //!
 //! A journal is a directory of segment files `journal-NNNNNNNN.seg`
-//! (zero-padded decimal index, strictly increasing). Each segment is:
-//!
-//! ```text
-//! magic    8 bytes   "FSIMJRNL"
-//! version  u32 LE    1
-//! record*            until end of file
-//! ```
-//!
-//! and each record is length-prefixed and checksummed:
+//! (zero-padded decimal index, strictly increasing). Each segment is
+//! framed by the workspace's shared record framing,
+//! [`fastsim_hash::frame`], under [`JOURNAL`]: a header (magic
+//! `FSIMJRNL`, version 1), then records until end of file,
 //!
 //! ```text
 //! kind      u8       1 submit · 2 start · 3 complete · 4 abandon
@@ -49,34 +44,35 @@
 //!
 //! ## Recovery semantics: reject, don't guess
 //!
-//! Decoding follows the same strict discipline as
-//! `fastsim-snapshot/v2` (`crates/memo/src/wire.rs`): bad magic, an
-//! unknown version, a mid-file checksum mismatch, an oversized length, or
-//! malformed payload content each fail recovery with a typed
-//! [`JournalError`] — a damaged journal is *rejected*, never replayed as
-//! a guessed job. The single tolerated damage is a **torn tail**: a
-//! record in the newest segment that runs past the physical end of file
-//! (or mismatches its checksum exactly at end of file), which is what a
-//! crash mid-append leaves behind. Such a record was never acknowledged —
-//! the fsync had not returned — so dropping it loses nothing a client was
-//! promised. Everything before it is kept; nothing after it can exist.
+//! Bad magic, an unknown version, a mid-file checksum mismatch, an
+//! oversized length, or malformed payload content each fail recovery with
+//! a typed [`JournalError`] — a damaged journal is *rejected*, never
+//! replayed as a guessed job. The single tolerated damage is a **torn
+//! tail**: a record in the newest segment that runs past the physical end
+//! of file (or mismatches its checksum exactly at end of file), which is
+//! what a crash mid-append leaves behind. Such a record was never
+//! acknowledged — the fsync had not returned — so dropping it loses
+//! nothing a client was promised. Everything before it is kept; nothing
+//! after it can exist.
+//!
+//! The writer refuses a record over [`MAX_RECORD`] in every build, so the
+//! journal never holds a record its own reader would reject.
 
 use fastsim_hash::fnv1a;
+use fastsim_hash::frame::{Format, FrameError, PutLe, Reader, TailPolicy, HEADER_LEN};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every segment file.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"FSIMJRNL";
-
-/// Format version this build reads and writes.
-pub const JOURNAL_VERSION: u32 = 1;
-
-/// Hard cap on one record's payload (matches the protocol's 1 MiB line
-/// cap: no legitimate record is remotely close).
+/// Hard cap on one record's payload, the protocol's 1 MiB line cap.
 pub const MAX_RECORD: usize = 1 << 20;
+
+/// The `fastsim-journal/v1` framing: magic `FSIMJRNL`, version 1, records
+/// up to [`MAX_RECORD`], FNV-1a checksums.
+pub const JOURNAL: Format =
+    Format { magic: *b"FSIMJRNL", version: 1, max_payload: MAX_RECORD as u32, checksum: fnv1a };
 
 /// Rotate to a fresh segment once the current one exceeds this.
 pub const SEGMENT_MAX_BYTES: u64 = 4 << 20;
@@ -84,12 +80,6 @@ pub const SEGMENT_MAX_BYTES: u64 = 4 << 20;
 /// Compact (rewrite live submits, drop history) after this many
 /// settlements.
 pub const COMPACT_EVERY: u64 = 64;
-
-/// Segment header length: magic + version.
-const HEADER_LEN: usize = 12;
-
-/// Record framing overhead: kind (1) + len (4) + checksum (8).
-const FRAME_LEN: usize = 13;
 
 const KIND_SUBMIT: u8 = 1;
 const KIND_START: u8 = 2;
@@ -171,37 +161,17 @@ impl JournalRecord {
 // Errors
 // ---------------------------------------------------------------------------
 
-/// Why a journal (or one segment) failed to decode. Mirrors the
-/// `SnapshotDecodeError` discipline: every rejection is typed and names
-/// where it happened; the decoder never guesses past damage.
+/// Why a journal (or one segment) failed to decode, or a record was
+/// refused. Every rejection is typed and names where it happened; the
+/// decoder never guesses past damage.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalError {
-    /// The segment does not start with [`JOURNAL_MAGIC`].
-    BadMagic,
-    /// The segment header carries a version this build does not read.
-    UnsupportedVersion {
-        /// The version found in the header.
-        found: u32,
-    },
-    /// The data ends before a record (or the header) is complete — and
-    /// the caller did not allow dropping it as a torn tail.
-    Truncated {
-        /// Byte offset of the incomplete record.
-        offset: usize,
-        /// Bytes the record needed.
-        needed: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// A record's bytes do not hash to its stored checksum (mid-file, or
-    /// at the tail under [`TailPolicy::Strict`]).
-    ChecksumMismatch {
-        /// Byte offset of the damaged record.
-        offset: usize,
-    },
+    /// The segment's framing is damaged (and not an allowed torn tail), or
+    /// a record to append is over [`MAX_RECORD`].
+    Frame(FrameError),
     /// A record framed and checksummed correctly but its content is
-    /// invalid (unknown kind, oversized length, bad UTF-8, short
-    /// payload, conflicting duplicate).
+    /// invalid (unknown kind, short or over-long payload, bad UTF-8,
+    /// conflicting duplicate).
     Corrupt {
         /// Byte offset of the offending record (0 for journal-level
         /// conflicts).
@@ -216,17 +186,7 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalError::BadMagic => write!(f, "not a fastsim-journal/v1 segment"),
-            JournalError::UnsupportedVersion { found } => {
-                write!(f, "unsupported journal format version {found} (expected {JOURNAL_VERSION})")
-            }
-            JournalError::Truncated { offset, needed, available } => write!(
-                f,
-                "truncated record at offset {offset}: needed {needed} bytes, {available} available"
-            ),
-            JournalError::ChecksumMismatch { offset } => {
-                write!(f, "checksum mismatch in record at offset {offset}")
-            }
+            JournalError::Frame(e) => write!(f, "fastsim-journal/v1 framing: {e}"),
             JournalError::Corrupt { offset, detail } => {
                 write!(f, "corrupt record at offset {offset}: {detail}")
             }
@@ -237,6 +197,12 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+impl From<FrameError> for JournalError {
+    fn from(e: FrameError) -> JournalError {
+        JournalError::Frame(e)
+    }
+}
+
 fn io_err(e: std::io::Error) -> JournalError {
     JournalError::Io(e.to_string())
 }
@@ -245,88 +211,62 @@ fn io_err(e: std::io::Error) -> JournalError {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn encode_submit(s: &SubmitRecord) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64 + s.name.len() + s.kernel.len() + s.client.len());
-    put_u64(&mut p, s.id);
-    put_u64(&mut p, s.insts);
-    put_u64(&mut p, s.timeout_ms.unwrap_or(u64::MAX));
-    put_u32(&mut p, s.band);
-    put_u32(&mut p, s.chaos_panics);
-    put_str(&mut p, &s.name);
-    put_str(&mut p, &s.kernel);
-    put_str(&mut p, &s.client);
-    match &s.hierarchy {
-        None => p.push(0),
-        Some(h) => {
-            p.push(1);
-            put_str(&mut p, h);
+/// Appends one record's framed bytes to `out`.
+fn put_record(out: &mut Vec<u8>, rec: &JournalRecord) -> Result<(), FrameError> {
+    let mut p = Vec::new();
+    let kind = match rec {
+        JournalRecord::Submit(s) => {
+            p.put_u64(s.id);
+            p.put_u64(s.insts);
+            p.put_u64(s.timeout_ms.unwrap_or(u64::MAX));
+            p.put_u32(s.band);
+            p.put_u32(s.chaos_panics);
+            p.put_str(&s.name);
+            p.put_str(&s.kernel);
+            p.put_str(&s.client);
+            match &s.hierarchy {
+                None => p.push(0),
+                Some(h) => {
+                    p.push(1);
+                    p.put_str(h);
+                }
+            }
+            KIND_SUBMIT
         }
-    }
-    p
+        JournalRecord::Start { id } => {
+            p.put_u64(*id);
+            KIND_START
+        }
+        JournalRecord::Complete { id } => {
+            p.put_u64(*id);
+            KIND_COMPLETE
+        }
+        JournalRecord::Abandon { id, reason } => {
+            p.put_u64(*id);
+            p.put_str(reason);
+            KIND_ABANDON
+        }
+    };
+    JOURNAL.put_record(out, kind, &p)
 }
 
 /// Encodes one record as its on-disk bytes (framing and checksum
 /// included). Public so the corruption fuzzer can build synthetic
 /// journals byte-exactly.
+///
+/// # Panics
+///
+/// If the record's payload exceeds [`MAX_RECORD`];
+/// [`Journal::append_all`] refuses such a record with an error instead.
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
-    let (kind, payload) = match rec {
-        JournalRecord::Submit(s) => (KIND_SUBMIT, encode_submit(s)),
-        JournalRecord::Start { id } => (KIND_START, id.to_le_bytes().to_vec()),
-        JournalRecord::Complete { id } => (KIND_COMPLETE, id.to_le_bytes().to_vec()),
-        JournalRecord::Abandon { id, reason } => {
-            let mut p = Vec::with_capacity(12 + reason.len());
-            put_u64(&mut p, *id);
-            put_str(&mut p, reason);
-            (KIND_ABANDON, p)
-        }
-    };
-    debug_assert!(payload.len() <= MAX_RECORD, "no legitimate record approaches the cap");
-    let mut out = Vec::with_capacity(payload.len() + FRAME_LEN);
-    out.push(kind);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    let sum = fnv1a(&out);
-    put_u64(&mut out, sum);
+    let mut out = Vec::new();
+    put_record(&mut out, rec).expect("a journal record within the cap");
     out
-}
-
-/// The 12-byte header every segment file starts with.
-pub fn segment_header() -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[..8].copy_from_slice(&JOURNAL_MAGIC);
-    h[8..].copy_from_slice(&JOURNAL_VERSION.to_le_bytes());
-    h
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
-
-/// How a decode treats damage at the physical end of the data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TailPolicy {
-    /// Every damaged byte is an error — the policy for every segment but
-    /// the newest (a torn append can only exist at the journal's end).
-    Strict,
-    /// A final record that runs past end-of-data, or mismatches its
-    /// checksum exactly at end-of-data, is dropped as a torn append
-    /// (reported, not errored). Damage anywhere *before* the tail still
-    /// rejects.
-    DropTorn,
-}
 
 /// What decoding one segment produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -337,120 +277,41 @@ pub struct SegmentDecode {
     pub torn_tail: bool,
 }
 
-/// Little-endian payload reader; all failures are content corruption
-/// (the framing checksum already matched).
-struct PayloadReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    record_offset: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn corrupt(&self, detail: impl Into<String>) -> JournalError {
-        JournalError::Corrupt { offset: self.record_offset, detail: detail.into() }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], JournalError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(self.corrupt(format!("payload too short for {what}")));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, JournalError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, JournalError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, JournalError> {
-        let len = self.u32(what)? as usize;
-        if len > MAX_RECORD {
-            return Err(self.corrupt(format!("{what} length {len} exceeds the record cap")));
-        }
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| self.corrupt(format!("{what} is not UTF-8")))
-    }
-
-    fn finish(self, kind: &str) -> Result<(), JournalError> {
-        if self.pos != self.bytes.len() {
-            let extra = self.bytes.len() - self.pos;
-            return Err(self.corrupt(format!("{extra} trailing bytes in {kind} payload")));
-        }
-        Ok(())
-    }
-}
-
-fn decode_payload(kind: u8, payload: &[u8], offset: usize) -> Result<JournalRecord, JournalError> {
-    let mut r = PayloadReader { bytes: payload, pos: 0, record_offset: offset };
-    match kind {
+/// Decodes one record's payload; an error is the detail of a
+/// [`JournalError::Corrupt`].
+fn decode_payload(kind: u8, payload: &[u8]) -> Result<JournalRecord, String> {
+    let mut r = Reader::new(payload);
+    let record = match kind {
         KIND_SUBMIT => {
-            let id = r.u64("submit id")?;
-            let insts = r.u64("submit insts")?;
-            let timeout = r.u64("submit timeout")?;
-            let band = r.u32("submit band")?;
-            let chaos_panics = r.u32("submit chaos_panics")?;
-            let name = r.string("submit name")?;
-            let kernel = r.string("submit kernel")?;
-            let client = r.string("submit client")?;
-            let hierarchy = match r.u8("submit hierarchy flag")? {
-                0 => None,
-                1 => Some(r.string("submit hierarchy")?),
-                other => {
-                    return Err(JournalError::Corrupt {
-                        offset,
-                        detail: format!("submit hierarchy flag {other} is not 0 or 1"),
-                    })
-                }
+            // Fields in wire order; a struct literal evaluates in the
+            // order it is written.
+            let s = SubmitRecord {
+                id: r.u64()?,
+                insts: r.u64()?,
+                timeout_ms: Some(r.u64()?).filter(|&t| t != u64::MAX),
+                band: r.u32()?,
+                chaos_panics: r.u32()?,
+                name: r.str()?,
+                kernel: r.str()?,
+                client: r.str()?,
+                hierarchy: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.str()?),
+                    other => return Err(format!("submit hierarchy flag {other} is not 0 or 1")),
+                },
             };
-            if insts == 0 {
-                return Err(JournalError::Corrupt {
-                    offset,
-                    detail: "submit insts is zero".to_string(),
-                });
+            if s.insts == 0 {
+                return Err("submit insts is zero".to_string());
             }
-            r.finish("submit")?;
-            Ok(JournalRecord::Submit(SubmitRecord {
-                id,
-                name,
-                kernel,
-                insts,
-                client,
-                band,
-                hierarchy,
-                timeout_ms: (timeout != u64::MAX).then_some(timeout),
-                chaos_panics,
-            }))
+            JournalRecord::Submit(s)
         }
-        KIND_START => {
-            let id = r.u64("start id")?;
-            r.finish("start")?;
-            Ok(JournalRecord::Start { id })
-        }
-        KIND_COMPLETE => {
-            let id = r.u64("complete id")?;
-            r.finish("complete")?;
-            Ok(JournalRecord::Complete { id })
-        }
-        KIND_ABANDON => {
-            let id = r.u64("abandon id")?;
-            let reason = r.string("abandon reason")?;
-            r.finish("abandon")?;
-            Ok(JournalRecord::Abandon { id, reason })
-        }
-        other => Err(JournalError::Corrupt {
-            offset,
-            detail: format!("unknown record kind {other}"),
-        }),
-    }
+        KIND_START => JournalRecord::Start { id: r.u64()? },
+        KIND_COMPLETE => JournalRecord::Complete { id: r.u64()? },
+        KIND_ABANDON => JournalRecord::Abandon { id: r.u64()?, reason: r.str()? },
+        other => return Err(format!("unknown record kind {other}")),
+    };
+    r.finish()?;
+    Ok(record)
 }
 
 /// Strict-decodes one segment's bytes. See [`TailPolicy`] for the single
@@ -461,76 +322,16 @@ fn decode_payload(kind: u8, payload: &[u8], offset: usize) -> Result<JournalReco
 /// Every form of damage except an allowed torn tail, as a typed
 /// [`JournalError`].
 pub fn decode_segment(bytes: &[u8], tail: TailPolicy) -> Result<SegmentDecode, JournalError> {
-    if bytes.len() < HEADER_LEN {
-        // A crash can tear the header write of a brand-new segment; the
-        // prefix must still be *consistent* with a real header to pass as
-        // torn rather than foreign data.
-        if tail == TailPolicy::DropTorn && segment_header().starts_with(bytes) {
-            return Ok(SegmentDecode { records: Vec::new(), torn_tail: true });
-        }
-        if !JOURNAL_MAGIC.starts_with(&bytes[..bytes.len().min(8)]) {
-            return Err(JournalError::BadMagic);
-        }
-        return Err(JournalError::Truncated {
-            offset: 0,
-            needed: HEADER_LEN,
-            available: bytes.len(),
-        });
-    }
-    if bytes[..8] != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != JOURNAL_VERSION {
-        return Err(JournalError::UnsupportedVersion { found: version });
-    }
-
-    let mut records = Vec::new();
-    let mut offset = HEADER_LEN;
-    while offset < bytes.len() {
-        let available = bytes.len() - offset;
-        if available < 5 {
-            // Not even a record header: only a torn append leaves this.
-            if tail == TailPolicy::DropTorn {
-                return Ok(SegmentDecode { records, torn_tail: true });
-            }
-            return Err(JournalError::Truncated { offset, needed: 5, available });
-        }
-        let kind = bytes[offset];
-        let len = u32::from_le_bytes(bytes[offset + 1..offset + 5].try_into().unwrap()) as usize;
-        if len > MAX_RECORD {
-            // No legitimate append ever writes a length this large, and a
-            // torn (prefix-truncated) append preserves the length bytes it
-            // did write — so this is corruption in both policies.
-            return Err(JournalError::Corrupt {
-                offset,
-                detail: format!("record length {len} exceeds the {MAX_RECORD}-byte cap"),
-            });
-        }
-        let total = 5 + len + 8;
-        if available < total {
-            if tail == TailPolicy::DropTorn {
-                return Ok(SegmentDecode { records, torn_tail: true });
-            }
-            return Err(JournalError::Truncated { offset, needed: total, available });
-        }
-        let framed = &bytes[offset..offset + 5 + len];
-        let stored = u64::from_le_bytes(
-            bytes[offset + 5 + len..offset + total].try_into().unwrap(),
-        );
-        if fnv1a(framed) != stored {
-            // At exactly end-of-data this is the torn-append signature
-            // (garbage persisted past the write's prefix); anywhere else
-            // it is damage to history.
-            if tail == TailPolicy::DropTorn && offset + total == bytes.len() {
-                return Ok(SegmentDecode { records, torn_tail: true });
-            }
-            return Err(JournalError::ChecksumMismatch { offset });
-        }
-        records.push(decode_payload(kind, &framed[5..], offset)?);
-        offset += total;
-    }
-    Ok(SegmentDecode { records, torn_tail: false })
+    let frames = JOURNAL.read(bytes, tail)?;
+    let records = frames
+        .records
+        .iter()
+        .map(|rec| {
+            decode_payload(rec.kind, rec.payload)
+                .map_err(|detail| JournalError::Corrupt { offset: rec.offset, detail })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(SegmentDecode { records, torn_tail: frames.torn_tail })
 }
 
 // ---------------------------------------------------------------------------
@@ -610,7 +411,7 @@ fn create_segment(dir: &Path, index: u64) -> Result<File, JournalError> {
         .append(true)
         .open(segment_path(dir, index))
         .map_err(io_err)?;
-    file.write_all(&segment_header()).map_err(io_err)?;
+    file.write_all(&JOURNAL.header()).map_err(io_err)?;
     file.sync_data().map_err(io_err)?;
     Ok(file)
 }
@@ -728,21 +529,22 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Filesystem failures as [`JournalError::Io`]. The journal stays
-    /// usable; the caller decides whether to keep serving without
-    /// durability.
+    /// A record over [`MAX_RECORD`] as [`JournalError::Frame`], in which
+    /// case nothing of the batch is written; filesystem failures as
+    /// [`JournalError::Io`]. The journal stays usable; the caller decides
+    /// whether to keep serving without durability.
     pub fn append_all(&mut self, records: &[JournalRecord]) -> Result<Appended, JournalError> {
         let mut outcome = Appended::default();
         if records.is_empty() {
             return Ok(outcome);
         }
+        let mut bytes = Vec::new();
+        for record in records {
+            put_record(&mut bytes, record)?;
+        }
         if self.seg_bytes > SEGMENT_MAX_BYTES {
             self.rotate()?;
             outcome.rotated = true;
-        }
-        let mut bytes = Vec::new();
-        for record in records {
-            bytes.extend_from_slice(&encode_record(record));
         }
         self.file.write_all(&bytes).map_err(io_err)?;
         self.file.sync_data().map_err(io_err)?;
@@ -771,7 +573,7 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Filesystem failures as [`JournalError::Io`].
+    /// As [`Journal::append_all`].
     pub fn append(&mut self, record: &JournalRecord) -> Result<Appended, JournalError> {
         self.append_all(std::slice::from_ref(record))
     }
@@ -818,9 +620,9 @@ fn write_compacted<'a>(
 ) -> Result<File, JournalError> {
     let final_path = segment_path(dir, index);
     let tmp_path = dir.join(format!("journal-{index:08}.seg.tmp"));
-    let mut bytes = segment_header().to_vec();
+    let mut bytes = JOURNAL.header().to_vec();
     for submit in pending {
-        bytes.extend_from_slice(&encode_record(&JournalRecord::Submit(submit.clone())));
+        put_record(&mut bytes, &JournalRecord::Submit(submit.clone()))?;
     }
     let mut tmp = File::create(&tmp_path).map_err(io_err)?;
     tmp.write_all(&bytes).map_err(io_err)?;
@@ -867,88 +669,13 @@ mod tests {
             JournalRecord::Complete { id: 1 },
             JournalRecord::Abandon { id: 2, reason: "timeout after 5000 ms".to_string() },
         ];
-        let mut bytes = segment_header().to_vec();
+        let mut bytes = JOURNAL.header().to_vec();
         for r in &records {
             bytes.extend_from_slice(&encode_record(r));
         }
         let decoded = decode_segment(&bytes, TailPolicy::Strict).expect("clean segment");
         assert_eq!(decoded.records, records);
         assert!(!decoded.torn_tail);
-    }
-
-    #[test]
-    fn decode_rejects_header_damage_with_typed_errors() {
-        let mut bytes = segment_header().to_vec();
-        bytes.extend_from_slice(&encode_record(&JournalRecord::Start { id: 9 }));
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xff;
-        assert_eq!(decode_segment(&bad_magic, TailPolicy::Strict), Err(JournalError::BadMagic));
-        assert_eq!(decode_segment(&bad_magic, TailPolicy::DropTorn), Err(JournalError::BadMagic));
-
-        let mut bad_version = bytes.clone();
-        bad_version[8] = 99;
-        assert_eq!(
-            decode_segment(&bad_version, TailPolicy::Strict),
-            Err(JournalError::UnsupportedVersion { found: 99 })
-        );
-    }
-
-    #[test]
-    fn torn_tail_is_dropped_only_at_physical_eof_of_the_data() {
-        let mut bytes = segment_header().to_vec();
-        bytes.extend_from_slice(&encode_record(&JournalRecord::Submit(submit(1))));
-        let keep = bytes.len();
-        bytes.extend_from_slice(&encode_record(&JournalRecord::Submit(submit(2))));
-
-        // Cut mid-final-record: strict rejects, DropTorn keeps the prefix.
-        let torn = &bytes[..bytes.len() - 3];
-        assert!(matches!(
-            decode_segment(torn, TailPolicy::Strict),
-            Err(JournalError::Truncated { .. })
-        ));
-        let decoded = decode_segment(torn, TailPolicy::DropTorn).expect("torn tail drops");
-        assert_eq!(decoded.records, vec![JournalRecord::Submit(submit(1))]);
-        assert!(decoded.torn_tail);
-
-        // Flip a byte in the FIRST record: rejected under both policies —
-        // the damage is to history, not the tail.
-        let mut mid_flip = bytes.clone();
-        mid_flip[keep - 4] ^= 0x40;
-        assert!(matches!(
-            decode_segment(&mid_flip, TailPolicy::Strict),
-            Err(JournalError::ChecksumMismatch { .. })
-        ));
-        assert!(matches!(
-            decode_segment(&mid_flip, TailPolicy::DropTorn),
-            Err(JournalError::ChecksumMismatch { .. })
-        ));
-
-        // Flip a byte in the LAST record (end == EOF): torn under
-        // DropTorn, rejected under strict.
-        let mut tail_flip = bytes.clone();
-        let last = bytes.len() - 4;
-        tail_flip[last] ^= 0x40;
-        assert!(matches!(
-            decode_segment(&tail_flip, TailPolicy::Strict),
-            Err(JournalError::ChecksumMismatch { .. })
-        ));
-        let decoded = decode_segment(&tail_flip, TailPolicy::DropTorn).expect("tail damage drops");
-        assert_eq!(decoded.records.len(), 1);
-        assert!(decoded.torn_tail);
-    }
-
-    #[test]
-    fn oversized_length_is_corruption_under_both_policies() {
-        let mut bytes = segment_header().to_vec();
-        bytes.extend_from_slice(&encode_record(&JournalRecord::Start { id: 1 }));
-        let off = HEADER_LEN + 1; // the length field of the first record
-        bytes[off..off + 4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        for policy in [TailPolicy::Strict, TailPolicy::DropTorn] {
-            assert!(
-                matches!(decode_segment(&bytes, policy), Err(JournalError::Corrupt { .. })),
-                "oversized length must reject under {policy:?}"
-            );
-        }
     }
 
     #[test]
@@ -1065,7 +792,7 @@ mod tests {
         fs::write(&seg, &bytes).expect("damage");
 
         match Journal::open(&dir) {
-            Err(JournalError::ChecksumMismatch { .. }) | Err(JournalError::Corrupt { .. }) => {}
+            Err(JournalError::Frame(FrameError::ChecksumMismatch { offset: HEADER_LEN })) => {}
             other => panic!("mid-file damage must reject, got {other:?}"),
         }
         fs::remove_dir_all(&dir).ok();
@@ -1080,7 +807,7 @@ mod tests {
         drop(journal);
         // A compaction that crashed between rename and delete: the same
         // submit exists in the old segment and a newer compacted one.
-        let mut dup = segment_header().to_vec();
+        let mut dup = JOURNAL.header().to_vec();
         dup.extend_from_slice(&encode_record(&JournalRecord::Submit(submit(7))));
         fs::write(segment_path(&dir, current + 1), &dup).expect("duplicate segment");
         // Plus an orphaned tmp file from the same crash.
@@ -1093,7 +820,7 @@ mod tests {
         // Divergent duplicates, by contrast, are corruption.
         let mut diverged = submit(7);
         diverged.insts += 1;
-        let mut seg = segment_header().to_vec();
+        let mut seg = JOURNAL.header().to_vec();
         seg.extend_from_slice(&encode_record(&JournalRecord::Submit(diverged)));
         let newest = list_segments(&dir).expect("list").last().expect("one segment").0;
         fs::write(segment_path(&dir, newest + 1), &seg).expect("divergent segment");
