@@ -8,7 +8,7 @@
 //!   durable [`SnapshotStore`], then a *brand-new* driver adopts them at
 //!   boot — the killed-and-restarted-server scenario.
 //! * **warm (import)** — the snapshots are shipped as encoded
-//!   `fastsim-snapshot/v2` bytes and strict-decoded into another new
+//!   `fastsim-snapshot/v3` bytes and strict-decoded into another new
 //!   driver — the fleet-shipping (`snapshot_export`/`snapshot_import`)
 //!   scenario.
 //!

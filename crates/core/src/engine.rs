@@ -155,12 +155,12 @@ impl WarmCacheSnapshot {
     }
 
     /// Encodes the snapshot, fingerprint and all, into the durable
-    /// `fastsim-snapshot/v2` byte format ([`fastsim_memo::encode_snapshot`]).
+    /// `fastsim-snapshot/v3` byte format ([`fastsim_memo::encode_snapshot`]).
     pub fn encode(&self) -> Vec<u8> {
         fastsim_memo::encode_snapshot(&self.snapshot, self.fingerprint)
     }
 
-    /// Decodes a `fastsim-snapshot/v2` byte stream back into a shareable
+    /// Decodes a `fastsim-snapshot/v3` byte stream back into a shareable
     /// snapshot.
     ///
     /// With `expected_fingerprint`, a snapshot recorded under any other

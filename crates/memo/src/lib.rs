@@ -36,7 +36,4 @@ pub use action::{ActionKind, NodeId, OutcomeKey, RetireCounts};
 pub use cache::{ConfigLookup, MemoStats, Node, PActionCache};
 pub use policy::Policy;
 pub use snapshot::{CacheSnapshot, MergeOutcome};
-pub use wire::{
-    decode_snapshot, encode_snapshot, snapshots_wire_equal, SnapshotDecodeError, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
-};
+pub use wire::{decode_snapshot, encode_snapshot, SnapshotDecodeError, SNAPSHOT_FORMAT};

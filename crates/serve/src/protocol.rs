@@ -49,7 +49,7 @@ pub enum Request {
         /// The group fingerprint as 16 hex digits (`None`: list groups).
         group: Option<u64>,
     },
-    /// Import an encoded snapshot (base64 of the `fastsim-snapshot/v2`
+    /// Import an encoded snapshot (base64 of the `fastsim-snapshot/v3`
     /// bytes) into the matching warm-cache group, creating the group if
     /// the server has never seen its configuration.
     SnapshotImport {

@@ -796,7 +796,7 @@ fn dump_metrics(state: &ServerState, core: &Core) -> Json {
 }
 
 /// `snapshot_export`: hands out a group's current frozen snapshot as
-/// base64 of the `fastsim-snapshot/v2` bytes (or, with no group, lists
+/// base64 of the `fastsim-snapshot/v3` bytes (or, with no group, lists
 /// the exportable groups). The snapshot Arc is cloned under the lock and
 /// encoded after releasing it.
 fn handle_snapshot_export(
