@@ -7,19 +7,19 @@
 //! for `scripts/ci.sh` to gate on.
 //!
 //! ```text
-//! fuzz_smoke [--seed HEX] [--kernels N] [--snapshot-cases N]
-//!            [--journal-cases N] [--corpus DIR] [--out PATH]
+//! fuzz_smoke [--seed HEX] [--kernels N] [--corpus DIR] [--out PATH]
 //!            [--emit-corpus DIR --emit-count N --emit-start N]
 //! ```
 //!
-//! Besides the differential sweep, `--snapshot-cases` kernels are frozen
-//! into `fastsim-snapshot/v2` encodings and attacked with seeded
+//! Besides the differential sweep, `SNAPSHOT_CASES` (6) kernels are frozen
+//! into `fastsim-snapshot/v3` encodings and attacked with seeded
 //! corruption ([`fastsim_fuzz::snapshot`]); any accepted corruption,
 //! decoder panic, or non-canonical round-trip fails the run. Likewise
-//! `--journal-cases` seeded `fastsim-journal/v1` record streams are
+//! `JOURNAL_CASES` (16) seeded `fastsim-journal/v1` record streams are
 //! attacked ([`fastsim_fuzz::journal`]) under the prefix-or-reject
 //! oracle — a mutation that decodes into a *different* record (a wrong
-//! job on recovery) fails the run.
+//! job on recovery) fails the run. A codec sweep that rejects nothing, or
+//! loses count of a corruption, fails the run too.
 //!
 //! On failure, each shrunk reproducer is written to `target/
 //! fuzz_failures/` in the replayable `fastsim-kernel/v1` format and the
@@ -35,6 +35,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// Kernels whose frozen snapshots the snapshot-codec sweep attacks.
+const SNAPSHOT_CASES: u32 = 6;
+
+/// Record streams the journal-codec sweep attacks.
+const JOURNAL_CASES: u32 = 16;
+
 fn main() -> ExitCode {
     let mut seed: u64 = 0xf00d_feed;
     let mut kernels: u32 = 500;
@@ -43,8 +49,6 @@ fn main() -> ExitCode {
     let mut emit_corpus: Option<PathBuf> = None;
     let mut emit_count: u32 = 14;
     let mut emit_start: u32 = 0;
-    let mut snapshot_cases: u32 = 6;
-    let mut journal_cases: u32 = 16;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -64,12 +68,6 @@ fn main() -> ExitCode {
                 });
             }
             "--kernels" => kernels = parse(&value("--kernels"), "--kernels"),
-            "--snapshot-cases" => {
-                snapshot_cases = parse(&value("--snapshot-cases"), "--snapshot-cases")
-            }
-            "--journal-cases" => {
-                journal_cases = parse(&value("--journal-cases"), "--journal-cases")
-            }
             "--corpus" => corpus_dir = Some(PathBuf::from(value("--corpus"))),
             "--out" => out = Some(PathBuf::from(value("--out"))),
             "--emit-corpus" => emit_corpus = Some(PathBuf::from(value("--emit-corpus"))),
@@ -77,8 +75,7 @@ fn main() -> ExitCode {
             "--emit-start" => emit_start = parse(&value("--emit-start"), "--emit-start"),
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzz_smoke [--seed HEX] [--kernels N] [--snapshot-cases N] \
-                     [--journal-cases N] [--corpus DIR] [--out PATH] \
+                    "usage: fuzz_smoke [--seed HEX] [--kernels N] [--corpus DIR] [--out PATH] \
                      [--emit-corpus DIR --emit-count N --emit-start N]"
                 );
                 return ExitCode::SUCCESS;
@@ -146,15 +143,16 @@ fn main() -> ExitCode {
 
     // Snapshot-codec corruption sweep: real frozen snapshots, canonical
     // round-trips, bit-identical replay, and seeded corruption that the
-    // strict decoder must reject without panicking.
-    let snap = run_snapshot_fuzz(seed ^ 0x5eed_5eed, snapshot_cases, 24);
+    // strict decoder must reject without panicking. A sweep that rejects
+    // nothing reports it as a failure.
+    let snap = run_snapshot_fuzz(seed ^ 0x5eed_5eed, SNAPSHOT_CASES, 24);
     for violation in &snap.failures {
         eprintln!("SNAPSHOT FAIL: {violation}");
     }
 
     // Journal-codec corruption sweep: seeded record streams under the
     // prefix-or-reject oracle (both tail policies, no panics).
-    let jrnl = run_journal_fuzz(seed ^ 0x1a7e_9001, journal_cases, 32);
+    let jrnl = run_journal_fuzz(seed ^ 0x1a7e_9001, JOURNAL_CASES, 32);
     for violation in &jrnl.failures {
         eprintln!("JOURNAL FAIL: {violation}");
     }
@@ -189,11 +187,11 @@ fn main() -> ExitCode {
         ("runs", Json::from(runs)),
         ("retired_insts", Json::from(report.retired_insts)),
         ("corpus_replayed", Json::from(corpus_replayed)),
-        ("snapshot_cases", Json::from(u64::from(snapshot_cases))),
+        ("snapshot_cases", Json::from(u64::from(SNAPSHOT_CASES))),
         ("snapshot_corruptions", Json::from(snap.corruptions)),
         ("snapshot_rejected", Json::from(snap.rejected)),
         ("snapshot_failures", Json::from(snap.failures.len() as u64)),
-        ("journal_cases", Json::from(u64::from(journal_cases))),
+        ("journal_cases", Json::from(u64::from(JOURNAL_CASES))),
         ("journal_corruptions", Json::from(jrnl.corruptions)),
         ("journal_rejected", Json::from(jrnl.rejected)),
         ("journal_prefix_accepts", Json::from(jrnl.accepted_prefix)),

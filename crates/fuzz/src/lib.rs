@@ -20,17 +20,20 @@
 //!    truncations, worker panics), then verifies the settled-state
 //!    invariants and the no-cache-poisoning guarantee.
 //! 3. **Snapshot-codec corruption fuzzing** — [`snapshot`] freezes real
-//!    warm caches into `fastsim-snapshot/v2` bytes, demands canonical
+//!    warm caches into `fastsim-snapshot/v3` bytes, demands canonical
 //!    round-trips and bit-identical replay from decoded snapshots, then
-//!    applies seeded corruption (bit flips, truncations, section-length
-//!    lies, header patches) that the strict decoder must reject with a
-//!    typed error — never a panic, never a mis-decode.
+//!    applies seeded corruption that the strict decoder must reject with
+//!    a typed error — never a panic, never a mis-decode.
 //! 4. **Journal-codec corruption fuzzing** — [`journal`] encodes seeded
 //!    `fastsim-journal/v1` record streams (hostile strings included),
-//!    then applies bit flips, torn tails, truncated segments, length
-//!    lies, and header/kind/checksum patches; every effective mutation
-//!    must be rejected with a typed error or decode to an exact prefix
-//!    of the originals — never replayed as a wrong job, never a panic.
+//!    then applies seeded corruption; every effective mutation must be
+//!    rejected with a typed error or decode to an exact prefix of the
+//!    originals — never replayed as a wrong job, never a panic.
+//!
+//! Both formats share one record framing, so fronts 3 and 4 share one
+//! mutator, [`mutate`]: bit flips, truncations, trailing garbage, length
+//! lies, and magic, version, kind and checksum patches. Each front keeps
+//! only its own contract, and a sweep that rejects nothing fails.
 //!
 //! The `fuzz_smoke` and `chaos_smoke` binaries wrap these fronts for
 //! `scripts/ci.sh`, writing schema-tagged JSON summaries.
@@ -41,6 +44,7 @@ pub mod chaos;
 pub mod corpus;
 pub mod journal;
 pub mod kernel;
+pub mod mutate;
 pub mod oracle;
 pub mod shrink;
 pub mod snapshot;

@@ -283,7 +283,7 @@ echo "==> serve scale smoke passed ($SCALE_OUT)"
 echo "==> snapshot smoke: durable warm-cache round trip through store and wire"
 # The durable-warmth gate: run the same tiny round cold, warm from an
 # on-disk SnapshotStore (simulated restart) and warm from encoded
-# fastsim-snapshot/v2 bytes (simulated shipping). The bench exits
+# fastsim-snapshot/v3 bytes (simulated shipping). The bench exits
 # nonzero unless all three legs are bit-identical and both warmed legs
 # hit at >= 0.9, so a codec or store regression fails before the grep.
 SNAP_OUT="target/bench_snapshot_smoke.json"
@@ -306,13 +306,16 @@ echo "==> fuzz smoke: 500 generated kernels through the differential oracle"
 # seeds, then generate 500 random kernels and require bit-identical
 # fast==slow statistics across all hierarchy presets × GC policies,
 # plus the freeze/thaw/merge lifecycle. On top of the
-# differential sweep, frozen caches are encoded to fastsim-snapshot/v2
+# differential sweep, frozen caches are encoded to fastsim-snapshot/v3
 # and attacked with seeded corruption — every effective mutation must be
 # rejected with a typed error, never absorbed or panicked on — and
 # seeded fastsim-journal/v1 record streams face the same sweep under the
 # prefix-or-reject oracle (a corrupted journal may lose its torn tail,
-# never replay a wrong job). Failures would be shrunk to replayable
-# reproducers under target/fuzz_failures/.
+# never replay a wrong job). Both sweeps use one mutator over the shared
+# record framing, and a sweep that rejects nothing, or loses count of a
+# corruption, counts as a failure, so the two *_failures gates cannot
+# pass on a mutator that stopped changing bytes. Kernel failures would
+# be shrunk to replayable reproducers under target/fuzz_failures/.
 FUZZ_OUT="target/fuzz_smoke.json"
 cargo run --release -q -p fastsim-fuzz --bin fuzz_smoke -- \
     --seed 0xf00dfeed --kernels 500 --corpus fuzz/corpus --out "$FUZZ_OUT"
