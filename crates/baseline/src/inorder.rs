@@ -17,7 +17,7 @@
 
 use fastsim_emu::{BranchPredictor, Cpu, Effect};
 use fastsim_isa::{ExecClass, Program, RegRef};
-use fastsim_mem::{CacheConfig, CacheSim, PollResult};
+use fastsim_mem::{CacheSim, HierarchyConfig, PollResult};
 use fastsim_uarch::UArchConfig;
 use fastsim_isa::DecodedProgram;
 use fastsim_mem::Memory;
@@ -64,7 +64,7 @@ impl InOrderSim {
     ///
     /// Returns the decode error if the program image is invalid.
     pub fn new(program: &Program) -> Result<InOrderSim, fastsim_isa::DecodeError> {
-        InOrderSim::with_configs(program, UArchConfig::table1(), CacheConfig::table1())
+        InOrderSim::with_configs(program, UArchConfig::table1(), HierarchyConfig::table1())
     }
 
     /// Creates an in-order model with explicit parameters (only latencies
@@ -77,7 +77,7 @@ impl InOrderSim {
     pub fn with_configs(
         program: &Program,
         config: UArchConfig,
-        cache: impl Into<fastsim_mem::HierarchyConfig>,
+        cache: HierarchyConfig,
     ) -> Result<InOrderSim, fastsim_isa::DecodeError> {
         let prog = Rc::new(program.predecode()?);
         let mut mem = Memory::new();

@@ -39,13 +39,15 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(missing_docs)]
+
 mod inorder;
 
 pub use inorder::{InOrderSim, InOrderStats};
 
 use fastsim_emu::{BranchPredictor, Cpu, Effect};
 use fastsim_isa::{DecodedProgram, ExecClass, Inst, Program, RegRef};
-use fastsim_mem::{CacheConfig, CacheSim, CacheStats, Memory, PollResult};
+use fastsim_mem::{CacheSim, CacheStats, HierarchyConfig, Memory, PollResult};
 use fastsim_uarch::UArchConfig;
 use std::rc::Rc;
 
@@ -122,7 +124,7 @@ impl BaselineSim {
     ///
     /// Returns the decode error if the program image is invalid.
     pub fn new(program: &Program) -> Result<BaselineSim, fastsim_isa::DecodeError> {
-        BaselineSim::with_configs(program, UArchConfig::table1(), CacheConfig::table1())
+        BaselineSim::with_configs(program, UArchConfig::table1(), HierarchyConfig::table1())
     }
 
     /// Creates a baseline simulator with explicit parameters.
@@ -134,11 +136,11 @@ impl BaselineSim {
     /// # Panics
     ///
     /// Panics if a configuration is invalid (see [`UArchConfig::validate`]
-    /// and [`fastsim_mem::HierarchyConfig::validate`]).
+    /// and [`HierarchyConfig::validate`]).
     pub fn with_configs(
         program: &Program,
         config: UArchConfig,
-        cache: impl Into<fastsim_mem::HierarchyConfig>,
+        cache: HierarchyConfig,
     ) -> Result<BaselineSim, fastsim_isa::DecodeError> {
         if let Err(e) = config.validate() {
             panic!("invalid config: {e}");

@@ -8,7 +8,7 @@
 use fastsim_bench::timing;
 use fastsim_emu::FuncEmulator;
 use fastsim_isa::{Asm, Reg};
-use fastsim_mem::{CacheConfig, CacheSim, PollResult};
+use fastsim_mem::{CacheSim, HierarchyConfig, PollResult};
 use fastsim_uarch::{decode_config, encode_config, FetchPc, IqEntry, IqState, PipelineState};
 use std::hint::black_box;
 use std::rc::Rc;
@@ -44,7 +44,7 @@ fn config_codec() {
 }
 
 fn cache_path() {
-    let mut sim = CacheSim::new(CacheConfig::table1());
+    let mut sim = CacheSim::new(HierarchyConfig::table1());
     let mut now = 0u64;
     let mut id = 0u64;
     // Warm one line.

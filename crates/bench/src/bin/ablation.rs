@@ -9,7 +9,7 @@
 //!  3. branch-history-table size.
 
 use fastsim_bench::{banner, RunSpec};
-use fastsim_core::{CacheConfig, Mode, Simulator, UArchConfig};
+use fastsim_core::{HierarchyConfig, Mode, Simulator, UArchConfig};
 use fastsim_emu::{BranchPredictor, PredictorKind};
 use fastsim_isa::Program;
 
@@ -27,7 +27,7 @@ fn run_cycles_kind(
         program,
         Mode::fast(),
         uarch,
-        CacheConfig::table1(),
+        HierarchyConfig::table1(),
         BranchPredictor::with_kind(kind, bht, 512),
     )
     .expect("simulator builds");
@@ -36,7 +36,7 @@ fn run_cycles_kind(
         program,
         Mode::Slow,
         uarch,
-        CacheConfig::table1(),
+        HierarchyConfig::table1(),
         BranchPredictor::with_kind(kind, bht, 512),
     )
     .expect("simulator builds");

@@ -14,14 +14,15 @@
 //! * `encode_ns_per_config` — configuration encoding alone;
 //! * `hit_rate` — configuration hit rate of a cold FastSim run;
 //! * `ff_speedup` — end-to-end SlowSim time over warm-started FastSim
-//!   time (the fast-forwarding payoff);
+//!   time (the fast-forwarding payoff; the warm run's time includes
+//!   thawing the cold run's snapshot, not freezing it);
 //! * raw `slow_ms` / `cold_ms` / `warm_ms` wall times.
 //!
 //! Usage: `memo_hotpath [--insts N] [--filter SUBSTR] [--out PATH]`.
 //! Run in release mode; a `debug_build: true` marker is embedded otherwise
 //! so the trajectory can never silently mix debug numbers.
 
-use fastsim_core::{CacheConfig, Mode, Simulator, UArchConfig};
+use fastsim_core::{HierarchyConfig, Mode, Simulator, UArchConfig};
 use fastsim_isa::Program;
 use fastsim_memo::{ActionKind, PActionCache, Policy, RetireCounts};
 use fastsim_uarch::{encode_config, encode_config_into, PipelineState};
@@ -163,14 +164,14 @@ fn run_workload(w: &Workload, insts: u64) -> Row {
     cold.run_to_completion().expect("fast completes");
     let cold_s = start.elapsed().as_secs_f64();
     let hit_rate = cold.memo_stats().expect("fast mode").hit_rate();
-    let warm_cache = cold.take_warm_cache().expect("fast mode");
+    let snapshot = cold.take_warm_cache().expect("fast mode").freeze();
 
     let start = Instant::now();
-    let mut warm = Simulator::with_warm_cache(
+    let mut warm = Simulator::with_warm_snapshot(
         &program,
-        warm_cache,
+        &snapshot,
         UArchConfig::table1(),
-        CacheConfig::table1(),
+        HierarchyConfig::table1(),
     )
     .expect("warm builds");
     warm.run_to_completion().expect("warm completes");

@@ -1,11 +1,21 @@
 //! Regenerates Table 1: the processor model parameters, printed from the
 //! live configuration defaults so the table can never drift from the code.
 
-use fastsim_core::{CacheConfig, UArchConfig};
+use fastsim_core::{HierarchyConfig, UArchConfig, WritePolicy};
+use fastsim_emu::BHT_ENTRIES;
+
+/// The paper's wording for a level's write policy.
+fn policy(p: WritePolicy) -> &'static str {
+    match p {
+        WritePolicy::WriteThrough => "write through",
+        WritePolicy::WriteBack => "write back",
+    }
+}
 
 fn main() {
     let u = UArchConfig::table1();
-    let c = CacheConfig::table1();
+    let h = HierarchyConfig::table1();
+    let [l1, l2] = h.levels[..] else { panic!("Table 1 describes two cache levels") };
     println!("=== Table 1: FastSim's processor model parameters ===\n");
     println!("Decode {} instructions per cycle.", u.decode_width);
     println!(
@@ -16,26 +26,25 @@ fn main() {
         "{} physical 32-bit integer registers, and {} 64-bit floating point registers.",
         u.phys_int_regs, u.phys_fp_regs
     );
-    println!("2-bit/512-entry branch history table for branch prediction.");
+    println!("2-bit/{BHT_ENTRIES}-entry branch history table for branch prediction.");
     println!(
         "Speculatively execute instructions through up to {} conditional branches.",
         u.max_branches
     );
+    println!("Non-blocking L1 and L2 data caches, {}/{} MSHRs each.", l1.mshrs, l2.mshrs);
     println!(
-        "Non-blocking L1 and L2 data caches, {}/{} MSHRs each.",
-        c.l1_mshrs, c.l2_mshrs
+        "{} KByte {}-way set associative {} L1 data cache.",
+        l1.bytes / 1024,
+        l1.assoc,
+        policy(l1.write_policy)
     );
     println!(
-        "{} KByte {}-way set associative write through L1 data cache.",
-        c.l1_bytes / 1024,
-        c.l1_assoc
+        "{} MByte {}-way set associative {} L2 data cache.",
+        l2.bytes / (1024 * 1024),
+        l2.assoc,
+        policy(l2.write_policy)
     );
-    println!(
-        "{} MByte {}-way set associative write back L2 data cache.",
-        c.l2_bytes / (1024 * 1024),
-        c.l2_assoc
-    );
-    println!("{} byte wide, split transaction bus.", c.bus_bytes);
+    println!("{} byte wide, split transaction bus.", h.bus_bytes);
     println!(
         "\nIssue queues: {} int / {} fp / {} addr entries; active list {}.",
         u.int_queue, u.fp_queue, u.addr_queue, u.iq_capacity
@@ -46,6 +55,6 @@ fn main() {
     );
     println!(
         "Cache timing: L1 hit {}, L1 miss->L2 {}, memory {} cycles.",
-        c.l1_hit_latency, c.l1_miss_latency, c.memory_latency
+        l1.hit_latency, l1.miss_latency, h.memory_latency
     );
 }

@@ -54,7 +54,7 @@ use crate::engine::{fingerprint, Simulator, WarmCacheSnapshot};
 use crate::error::{BuildError, SimError};
 use crate::stats::SimStats;
 use fastsim_isa::Program;
-use fastsim_mem::{CacheConfig, CacheStats, HierarchyConfig, LevelStats};
+use fastsim_mem::{CacheStats, HierarchyConfig, LevelStats};
 use fastsim_memo::{CacheSnapshot, MemoStats, MergeOutcome, PActionCache, Policy};
 use fastsim_uarch::UArchConfig;
 use std::collections::HashMap;
@@ -71,8 +71,7 @@ pub struct BatchJob {
     pub program: Program,
     /// µ-architecture parameters.
     pub uarch: UArchConfig,
-    /// Memory-hierarchy parameters (any depth; a flat [`CacheConfig`]
-    /// lowers via `.into()`).
+    /// Memory-hierarchy parameters (any depth).
     pub hierarchy: HierarchyConfig,
     /// p-action cache replacement policy. Jobs with the same fingerprint
     /// share one master cache whose policy is fixed by the first job seen
@@ -92,7 +91,7 @@ impl BatchJob {
             name: name.into(),
             program,
             uarch: UArchConfig::table1(),
-            hierarchy: CacheConfig::table1().into(),
+            hierarchy: HierarchyConfig::table1(),
             policy: Policy::Unbounded,
             trace_hotness: u32::MAX,
         }
@@ -404,14 +403,13 @@ impl BatchDriver {
         v
     }
 
-    /// The current frozen warm cache of the job group `fingerprint`, if
-    /// any round has populated it. Always freezes a fresh copy; prefer
-    /// [`current_snapshot`](BatchDriver::current_snapshot), which reuses
-    /// the last freeze across quiet periods.
-    pub fn warm_snapshot(&self, fingerprint: u64) -> Option<WarmCacheSnapshot> {
-        self.masters
-            .get(&fingerprint)
-            .map(|pc| WarmCacheSnapshot::from_parts(Arc::new(pc.freeze()), fingerprint))
+    /// The group's held freeze: the snapshot the last
+    /// [`current_snapshot`](BatchDriver::current_snapshot) returned, or the
+    /// one [`adopt_snapshot`](BatchDriver::adopt_snapshot) installed.
+    /// Never freezes, so it can be stale against the master; `None` until
+    /// the group has been frozen once.
+    pub fn held_snapshot(&self, fingerprint: u64) -> Option<&WarmCacheSnapshot> {
+        self.frozen.get(&fingerprint)
     }
 
     /// Ensures the job's group master exists (created with the job's

@@ -11,7 +11,7 @@ use crate::stats::SimStats;
 use fastsim_emu::{BranchPredictor, CtrlKind, RunOutcome, SpecEmulator, SpecError};
 use fastsim_hash::{fnv1a_lane, FNV1A_OFFSET};
 use fastsim_isa::{DecodedProgram, Program};
-use fastsim_mem::{CacheConfig, CacheSim, CacheStats, HierarchyConfig, LevelStats, PollResult};
+use fastsim_mem::{CacheSim, CacheStats, HierarchyConfig, LevelStats, PollResult};
 use fastsim_memo::{
     ActionKind, CacheSnapshot, ConfigLookup, MemoStats, NodeId, OutcomeKey, PActionCache, Policy,
     RetireCounts,
@@ -60,14 +60,14 @@ pub struct Progress {
 /// the engine declares it wedged.
 const STUCK_CYCLES: u64 = 1_000_000;
 
-/// A populated p-action cache extracted from a finished [`Simulator`],
-/// reusable to *warm-start* another simulation of the same program under
-/// the same processor model ([`Simulator::take_warm_cache`] /
-/// [`Simulator::with_warm_cache`]).
+/// A populated p-action cache extracted from a finished [`Simulator`]
+/// ([`Simulator::take_warm_cache`]). [`freeze`](WarmCache::freeze) it to
+/// *warm-start* another simulation of the same program under the same
+/// processor model ([`Simulator::with_warm_snapshot`]).
 ///
 /// Memoized actions are only meaningful for the exact program image and
 /// µ-architecture parameters they were recorded under, so the cache
-/// carries a fingerprint that [`Simulator::with_warm_cache`] verifies.
+/// carries a fingerprint that [`Simulator::with_warm_snapshot`] verifies.
 /// (The *data-cache* configuration may differ: cache intervals re-enter
 /// replay as checked outcomes, so stale intervals merely fall back to
 /// detailed simulation — but the fingerprint includes it anyway, since a
@@ -107,12 +107,11 @@ impl WarmCache {
 /// A frozen, read-only [`WarmCache`]: an [`Arc`]-shared
 /// [`CacheSnapshot`] plus the fingerprint of the run it came from.
 ///
-/// Unlike a [`WarmCache`] — which is consumed by
-/// [`Simulator::with_warm_cache`] — a snapshot can seed any number of
-/// simulators, concurrently and repeatedly
-/// ([`Simulator::with_warm_snapshot`]): each simulator thaws a private
-/// working copy and records its own delta, and the snapshot itself is
-/// never mutated. Cloning a snapshot is cheap (it clones the `Arc`).
+/// A snapshot can seed any number of simulators, concurrently and
+/// repeatedly ([`Simulator::with_warm_snapshot`]): each simulator thaws a
+/// private working copy and records its own delta, and the snapshot
+/// itself is never mutated. Cloning a snapshot is cheap (it clones the
+/// `Arc`).
 ///
 /// This is the sharing primitive behind the batch driver
 /// ([`crate::batch`]).
@@ -681,12 +680,11 @@ impl Simulator {
     ///
     /// Returns [`BuildError`] if the program does not decode.
     pub fn new(program: &Program, mode: Mode) -> Result<Simulator, BuildError> {
-        Simulator::with_configs(program, mode, UArchConfig::table1(), CacheConfig::table1())
+        Simulator::with_configs(program, mode, UArchConfig::table1(), HierarchyConfig::table1())
     }
 
     /// Creates a simulator with explicit µ-architecture and cache
-    /// parameters. The cache accepts either the flat two-level
-    /// [`CacheConfig`] or a full N-level [`HierarchyConfig`].
+    /// hierarchy parameters.
     ///
     /// # Errors
     ///
@@ -696,7 +694,7 @@ impl Simulator {
         program: &Program,
         mode: Mode,
         uarch: UArchConfig,
-        cache: impl Into<HierarchyConfig>,
+        cache: HierarchyConfig,
     ) -> Result<Simulator, BuildError> {
         Simulator::with_predictor(program, mode, uarch, cache, BranchPredictor::new())
     }
@@ -713,10 +711,9 @@ impl Simulator {
         program: &Program,
         mode: Mode,
         uarch: UArchConfig,
-        cache: impl Into<HierarchyConfig>,
+        cache: HierarchyConfig,
         predictor: BranchPredictor,
     ) -> Result<Simulator, BuildError> {
-        let cache: HierarchyConfig = cache.into();
         uarch.validate().map_err(BuildError::UArchConfig)?;
         cache.validate().map_err(BuildError::CacheConfig)?;
         let prog = Rc::new(program.predecode()?);
@@ -756,40 +753,16 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Creates a FastSim simulator pre-populated with the memoization
-    /// state of a previous run of the same program — the second run
-    /// fast-forwards almost from the first cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] if the program does not decode or if `warm`
-    /// was recorded for a different program or processor model.
-    pub fn with_warm_cache(
-        program: &Program,
-        warm: WarmCache,
-        uarch: UArchConfig,
-        cache: impl Into<HierarchyConfig>,
-    ) -> Result<Simulator, BuildError> {
-        let cache: HierarchyConfig = cache.into();
-        if warm.fingerprint != fingerprint(program, &uarch, &cache) {
-            return Err(BuildError::WarmCacheMismatch);
-        }
-        let policy = warm.pcache.policy();
-        let mut sim =
-            Simulator::with_configs(program, Mode::Fast { policy }, uarch, cache)?;
-        sim.shared.pcache = Some(warm.pcache);
-        Ok(sim)
-    }
-
     /// Creates a FastSim simulator that replays from a frozen, shared
-    /// [`WarmCacheSnapshot`], recording its own private delta. The
-    /// snapshot is never mutated; any number of simulators (including on
-    /// other threads) can be seeded from the same snapshot.
+    /// [`WarmCacheSnapshot`] of a previous run of the same program — the
+    /// new run fast-forwards almost from the first cycle — and records its
+    /// own private delta. The snapshot is never mutated; any number of
+    /// simulators (including on other threads) can be seeded from the same
+    /// snapshot.
     ///
     /// The simulator adopts the snapshot's replacement policy, and its
-    /// memoization statistics continue from the snapshot's (so cumulative
-    /// counters behave exactly as under
-    /// [`with_warm_cache`](Simulator::with_warm_cache)).
+    /// memoization statistics continue from the snapshot's, so cumulative
+    /// counters carry across a chain of warm runs.
     ///
     /// # Errors
     ///
@@ -799,9 +772,8 @@ impl Simulator {
         program: &Program,
         warm: &WarmCacheSnapshot,
         uarch: UArchConfig,
-        cache: impl Into<HierarchyConfig>,
+        cache: HierarchyConfig,
     ) -> Result<Simulator, BuildError> {
-        let cache: HierarchyConfig = cache.into();
         if warm.fingerprint != fingerprint(program, &uarch, &cache) {
             return Err(BuildError::WarmCacheMismatch);
         }
@@ -812,9 +784,9 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Extracts the p-action cache of a finished FastSim run for reuse
-    /// with [`Simulator::with_warm_cache`]. Returns `None` in
-    /// [`Mode::Slow`].
+    /// Extracts the p-action cache of a finished FastSim run, to be
+    /// [frozen](WarmCache::freeze) for [`Simulator::with_warm_snapshot`].
+    /// Returns `None` in [`Mode::Slow`].
     ///
     /// # Panics
     ///
@@ -1269,14 +1241,14 @@ mod tests {
         let mut first = Simulator::new(&image, Mode::fast()).unwrap();
         first.run_to_completion().unwrap();
         let cold_stats = *first.stats();
-        let warm = first.take_warm_cache().expect("fast mode yields a warm cache");
+        let warm = first.take_warm_cache().expect("fast mode yields a warm cache").freeze();
         assert!(warm.stats().static_configs > 0);
 
-        let mut second = Simulator::with_warm_cache(
+        let mut second = Simulator::with_warm_snapshot(
             &image,
-            warm,
+            &warm,
             UArchConfig::table1(),
-            CacheConfig::table1(),
+            HierarchyConfig::table1(),
         )
         .unwrap();
         second.run_to_completion().unwrap();
@@ -1298,9 +1270,13 @@ mod tests {
         let other = loop_program(101);
         let mut first = Simulator::new(&image, Mode::fast()).unwrap();
         first.run_to_completion().unwrap();
-        let warm = first.take_warm_cache().unwrap();
-        match Simulator::with_warm_cache(&other, warm, UArchConfig::table1(), CacheConfig::table1())
-        {
+        let warm = first.take_warm_cache().unwrap().freeze();
+        match Simulator::with_warm_snapshot(
+            &other,
+            &warm,
+            UArchConfig::table1(),
+            HierarchyConfig::table1(),
+        ) {
             Err(BuildError::WarmCacheMismatch) => {}
             other => panic!("expected mismatch, got {:?}", other.map(|_| ())),
         }
@@ -1311,10 +1287,10 @@ mod tests {
         let image = loop_program(100);
         let mut first = Simulator::new(&image, Mode::fast()).unwrap();
         first.run_to_completion().unwrap();
-        let warm = first.take_warm_cache().unwrap();
+        let warm = first.take_warm_cache().unwrap().freeze();
         let mut wide = UArchConfig::table1();
         wide.int_alus = 4;
-        match Simulator::with_warm_cache(&image, warm, wide, CacheConfig::table1()) {
+        match Simulator::with_warm_snapshot(&image, &warm, wide, HierarchyConfig::table1()) {
             Err(BuildError::WarmCacheMismatch) => {}
             other => panic!("expected mismatch, got {:?}", other.map(|_| ())),
         }
@@ -1340,14 +1316,14 @@ mod tests {
             &image,
             Mode::fast(),
             inorder_cfg,
-            CacheConfig::table1(),
+            HierarchyConfig::table1(),
         )
         .unwrap();
         let mut slow = Simulator::with_configs(
             &image,
             Mode::Slow,
             inorder_cfg,
-            CacheConfig::table1(),
+            HierarchyConfig::table1(),
         )
         .unwrap();
         fast.run_to_completion().unwrap();
@@ -1365,10 +1341,11 @@ mod tests {
         let image = loop_program(100);
         let mut first = Simulator::new(&image, Mode::fast()).unwrap();
         first.run_to_completion().unwrap();
-        let warm = first.take_warm_cache().unwrap();
+        let warm = first.take_warm_cache().unwrap().freeze();
         let mut inorder_cfg = UArchConfig::table1();
         inorder_cfg.issue_model = IssueModel::InOrder;
-        match Simulator::with_warm_cache(&image, warm, inorder_cfg, CacheConfig::table1()) {
+        match Simulator::with_warm_snapshot(&image, &warm, inorder_cfg, HierarchyConfig::table1())
+        {
             Err(BuildError::WarmCacheMismatch) => {}
             other => panic!("expected mismatch, got {:?}", other.map(|_| ())),
         }

@@ -13,7 +13,7 @@ pub enum BuildError {
     CacheConfig(String),
     /// A warm p-action cache was recorded for a different program or
     /// processor model (see
-    /// [`Simulator::with_warm_cache`](crate::Simulator::with_warm_cache)).
+    /// [`Simulator::with_warm_snapshot`](crate::Simulator::with_warm_snapshot)).
     WarmCacheMismatch,
 }
 

@@ -44,9 +44,7 @@ pub use fastsim_uarch::{CycleSummary, FetchPc, IqEntry, IqState, PipelineState};
 pub use error::{BuildError, SimError};
 pub use stats::SimStats;
 
-pub use fastsim_mem::{
-    CacheConfig, CacheLevelConfig, CacheStats, HierarchyConfig, LevelStats, WritePolicy,
-};
+pub use fastsim_mem::{CacheLevelConfig, CacheStats, HierarchyConfig, LevelStats, WritePolicy};
 pub use fastsim_memo::{MemoStats, Policy, SnapshotDecodeError};
 pub use fastsim_emu::{BranchPredictor, PredictorKind};
 pub use fastsim_uarch::{IssueModel, UArchConfig};

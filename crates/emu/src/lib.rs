@@ -36,7 +36,7 @@ mod spec;
 
 pub use cpu::{Cpu, Effect};
 pub use func::{FuncEmulator, FuncResult, FuncStopReason};
-pub use predictor::{BranchPredictor, PredictorKind};
+pub use predictor::{BranchPredictor, PredictorKind, BHT_ENTRIES};
 pub use record::{CtrlKind, CtrlOutcome, CtrlRec, LoadRec, StoreRec};
 pub use spec::{RunOutcome, SpecEmulator, SpecError, SpecStats};
 

@@ -200,9 +200,9 @@ struct InFlight {
 /// # Example
 ///
 /// ```
-/// use fastsim_mem::{CacheConfig, CacheSim, PollResult};
+/// use fastsim_mem::{CacheSim, HierarchyConfig, PollResult};
 ///
-/// let mut c = CacheSim::new(CacheConfig::table1());
+/// let mut c = CacheSim::new(HierarchyConfig::table1());
 /// let interval = c.issue_load(0, 0x8000, 4, 100);
 /// let mut now = 100 + interval as u64;
 /// loop {
@@ -231,14 +231,12 @@ pub struct CacheSim {
 }
 
 impl CacheSim {
-    /// Creates a cache simulator for the given hierarchy (a
-    /// [`crate::CacheConfig`] lowers to a two-level hierarchy).
+    /// Creates a cache simulator for the given hierarchy.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`HierarchyConfig::validate`].
-    pub fn new(config: impl Into<HierarchyConfig>) -> CacheSim {
-        let hierarchy = config.into();
+    pub fn new(hierarchy: HierarchyConfig) -> CacheSim {
         if let Err(e) = hierarchy.validate() {
             panic!("invalid cache config: {e}");
         }
@@ -544,10 +542,10 @@ impl CacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheConfig, CacheLevelConfig};
+    use crate::config::CacheLevelConfig;
 
     fn sim() -> CacheSim {
-        CacheSim::new(CacheConfig::table1())
+        CacheSim::new(HierarchyConfig::table1())
     }
 
     /// Drives a load to completion; returns total latency in cycles.
@@ -565,10 +563,11 @@ mod tests {
     fn cold_miss_goes_to_memory() {
         let mut c = sim();
         let lat = complete_load(&mut c, 0, 0x1_0000, 0);
-        let cfg = CacheConfig::table1();
+        let cfg = HierarchyConfig::table1();
         // L1 miss (6) + memory (40) + line transfer (8).
-        let expected =
-            cfg.l1_miss_latency as u64 + cfg.memory_latency as u64 + cfg.line_transfer_cycles();
+        let expected = cfg.levels[0].miss_latency as u64
+            + cfg.memory_latency as u64
+            + cfg.line_transfer_cycles();
         assert_eq!(lat, expected);
         assert_eq!(c.stats().l1_misses, 1);
         assert_eq!(c.stats().l2_misses, 1);
@@ -579,16 +578,16 @@ mod tests {
         let mut c = sim();
         complete_load(&mut c, 0, 0x1_0000, 0);
         let lat = complete_load(&mut c, 1, 0x1_0004, 1000);
-        assert_eq!(lat, CacheConfig::table1().l1_hit_latency as u64);
+        assert_eq!(lat, HierarchyConfig::table1().levels[0].hit_latency as u64);
         assert_eq!(c.stats().l1_hits, 1);
     }
 
     #[test]
     fn l2_hit_after_l1_eviction() {
         let mut c = sim();
-        let cfg = CacheConfig::table1();
-        // Fill one L1 set three times over: set stride = l1_bytes / assoc.
-        let stride = cfg.l1_bytes / cfg.l1_assoc;
+        let l1 = HierarchyConfig::table1().levels[0];
+        // Fill one L1 set three times over: set stride = bytes / assoc.
+        let stride = l1.bytes / l1.assoc;
         let mut now = 0;
         for i in 0..3u32 {
             now += complete_load(&mut c, i as u64, 0x10_0000 + i * stride, now) + 10;
@@ -602,23 +601,24 @@ mod tests {
     #[test]
     fn mshr_saturation_delays_issue() {
         let mut c = sim();
-        let cfg = CacheConfig::table1();
+        let cfg = HierarchyConfig::table1();
+        let (l1, l2) = (cfg.levels[0], cfg.levels[1]);
         // Issue 8 misses to distinct lines at cycle 0 — all MSHRs busy.
-        for i in 0..cfg.l1_mshrs {
-            let addr = 0x20_0000 + i * cfg.l2_line * 4;
+        for i in 0..l1.mshrs {
+            let addr = 0x20_0000 + i * l2.line * 4;
             let interval = c.issue_load(i as u64, addr, 4, 0);
-            assert_eq!(interval, cfg.l1_miss_latency);
+            assert_eq!(interval, l1.miss_latency);
         }
         // The ninth miss must wait for an MSHR.
         let interval = c.issue_load(100, 0x40_0000, 4, 0);
-        assert!(interval > cfg.l1_miss_latency, "ninth miss waits: {interval}");
+        assert!(interval > l1.miss_latency, "ninth miss waits: {interval}");
         assert!(c.stats().mshr_stall_cycles > 0);
     }
 
     #[test]
     fn bus_contention_serializes_memory_fetches() {
         let mut c = sim();
-        let cfg = CacheConfig::table1();
+        let cfg = HierarchyConfig::table1();
         // Two simultaneous L2 misses share the bus: second is slower.
         let i1 = c.issue_load(0, 0x30_0000, 4, 0) as u64;
         let i2 = c.issue_load(1, 0x38_0000, 4, 0) as u64;
@@ -648,8 +648,8 @@ mod tests {
     #[test]
     fn dirty_eviction_counts_writeback() {
         let mut c = sim();
-        let cfg = CacheConfig::table1();
-        let stride = cfg.l2_bytes / cfg.l2_assoc;
+        let l2 = HierarchyConfig::table1().levels[1];
+        let stride = l2.bytes / l2.assoc;
         // Dirty a line, then force two more fills into the same L2 set.
         c.issue_store(0x60_0000, 4, 0);
         let mut now = 100;
@@ -826,7 +826,6 @@ mod tests {
 #[cfg(test)]
 mod randomized_tests {
     use super::*;
-    use crate::config::CacheConfig;
     use fastsim_hash::{fnv1a_lane, FNV1A_OFFSET};
     use fastsim_prng::{for_each_case, Rng};
 
@@ -954,12 +953,6 @@ mod randomized_tests {
             for h in presets() {
                 assert_eq!(run(&addrs, h.clone()), run(&addrs, h), "seed {seed:#x}");
             }
-            let lowered = run(&addrs, CacheConfig::table1().into());
-            assert_eq!(
-                lowered,
-                run(&addrs, HierarchyConfig::table1()),
-                "seed {seed:#x}: lowering is the table1 hierarchy"
-            );
         });
     }
 

@@ -1,15 +1,7 @@
-//! Cache hierarchy configuration.
-//!
-//! Two layers of configuration coexist:
-//!
-//! * [`HierarchyConfig`] — the general model: an ordered list of
-//!   [`CacheLevelConfig`]s (level 0 is closest to the processor) plus bus
-//!   and DRAM parameters. This is what [`crate::CacheSim`] actually runs.
-//! * [`CacheConfig`] — the paper's flat two-level parameter block, kept as
-//!   a compatibility constructor. It lowers to an equivalent two-level
-//!   [`HierarchyConfig`] via `From`, and the lowering is bit-exact: every
-//!   statistic the two-level simulator produced before the N-level rewrite
-//!   is reproduced unchanged.
+//! Cache hierarchy configuration: a [`HierarchyConfig`] is an ordered list
+//! of [`CacheLevelConfig`]s (level 0 is closest to the processor) plus bus
+//! and DRAM parameters. It is what [`crate::CacheSim`] runs; the paper's
+//! Table 1 machine is the two-level [`HierarchyConfig::table1`].
 
 /// Maximum number of cache levels a [`HierarchyConfig`] may describe.
 ///
@@ -69,10 +61,42 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// The paper's Table 1 hierarchy (two levels); identical to lowering
-    /// [`CacheConfig::table1`].
+    /// The paper's Table 1 hierarchy:
+    ///
+    /// * non-blocking L1 and L2 data caches, 8 MSHRs each;
+    /// * 16 KByte 2-way set-associative write-through L1;
+    /// * 1 MByte 2-way set-associative write-back L2;
+    /// * 8-byte-wide split-transaction bus.
+    ///
+    /// Latencies follow the paper's running example ("a load that first
+    /// misses in the L1 cache (usually a 6 cycle delay), then misses in the
+    /// L2 cache resulting in an additional delay depending on the current
+    /// state of the cache").
     pub fn table1() -> HierarchyConfig {
-        CacheConfig::table1().into()
+        HierarchyConfig {
+            levels: vec![
+                CacheLevelConfig {
+                    bytes: 16 * 1024,
+                    assoc: 2,
+                    line: 32,
+                    hit_latency: 2,
+                    miss_latency: 6,
+                    mshrs: 8,
+                    write_policy: WritePolicy::WriteThrough,
+                },
+                CacheLevelConfig {
+                    bytes: 1024 * 1024,
+                    assoc: 2,
+                    line: 64,
+                    hit_latency: 0,
+                    miss_latency: 0, // last level: misses go to memory
+                    mshrs: 8,
+                    write_policy: WritePolicy::WriteBack,
+                },
+            ],
+            memory_latency: 40,
+            bus_bytes: 8,
+        }
     }
 
     /// A three-level hierarchy: the Table 1 L1, a smaller write-back L2,
@@ -229,236 +253,14 @@ impl Default for HierarchyConfig {
     }
 }
 
-impl From<CacheConfig> for HierarchyConfig {
-    /// Lowers the flat two-level parameter block to the general form.
-    ///
-    /// The L2's `hit_latency` is 0 because in the two-level model an L2
-    /// hit completes exactly when the lookup resolves (`l1_miss_latency`
-    /// covers the whole L1-miss-to-L2-data path); its `miss_latency` is
-    /// unused (last level).
-    fn from(c: CacheConfig) -> HierarchyConfig {
-        HierarchyConfig {
-            levels: vec![
-                CacheLevelConfig {
-                    bytes: c.l1_bytes,
-                    assoc: c.l1_assoc,
-                    line: c.l1_line,
-                    hit_latency: c.l1_hit_latency,
-                    miss_latency: c.l1_miss_latency,
-                    mshrs: c.l1_mshrs,
-                    write_policy: WritePolicy::WriteThrough,
-                },
-                CacheLevelConfig {
-                    bytes: c.l2_bytes,
-                    assoc: c.l2_assoc,
-                    line: c.l2_line,
-                    hit_latency: 0,
-                    miss_latency: 0,
-                    mshrs: c.l2_mshrs,
-                    write_policy: WritePolicy::WriteBack,
-                },
-            ],
-            memory_latency: c.memory_latency,
-            bus_bytes: c.bus_bytes,
-        }
-    }
-}
-
-impl From<&CacheConfig> for HierarchyConfig {
-    fn from(c: &CacheConfig) -> HierarchyConfig {
-        (*c).into()
-    }
-}
-
-/// Configuration of the paper's two-level memory hierarchy.
-///
-/// The defaults reproduce the paper's Table 1:
-///
-/// * non-blocking L1 and L2 data caches, 8 MSHRs each;
-/// * 16 KByte 2-way set-associative write-through L1;
-/// * 1 MByte 2-way set-associative write-back L2;
-/// * 8-byte-wide split-transaction bus.
-///
-/// Latencies follow the paper's running example ("a load that first misses
-/// in the L1 cache (usually a 6 cycle delay), then misses in the L2 cache
-/// resulting in an additional delay depending on the current state of the
-/// cache").
-///
-/// This is a compatibility surface: the simulator itself runs on
-/// [`HierarchyConfig`], and every API that takes a cache configuration
-/// accepts either type (`impl Into<HierarchyConfig>`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CacheConfig {
-    /// Total L1 capacity in bytes.
-    pub l1_bytes: u32,
-    /// L1 associativity (ways).
-    pub l1_assoc: u32,
-    /// L1 line size in bytes.
-    pub l1_line: u32,
-    /// Cycles for an L1 load hit.
-    pub l1_hit_latency: u32,
-    /// Cycles from an L1 miss to the L2 lookup result (the paper's
-    /// "usually a 6 cycle delay").
-    pub l1_miss_latency: u32,
-    /// Number of L1 miss-status holding registers.
-    pub l1_mshrs: u32,
-    /// Total L2 capacity in bytes.
-    pub l2_bytes: u32,
-    /// L2 associativity (ways).
-    pub l2_assoc: u32,
-    /// L2 line size in bytes.
-    pub l2_line: u32,
-    /// Number of L2 miss-status holding registers.
-    pub l2_mshrs: u32,
-    /// DRAM access latency in cycles (before bus transfer).
-    pub memory_latency: u32,
-    /// Bus width in bytes (per bus cycle).
-    pub bus_bytes: u32,
-}
-
-impl CacheConfig {
-    /// The paper's Table 1 parameters.
-    pub fn table1() -> CacheConfig {
-        CacheConfig {
-            l1_bytes: 16 * 1024,
-            l1_assoc: 2,
-            l1_line: 32,
-            l1_hit_latency: 2,
-            l1_miss_latency: 6,
-            l1_mshrs: 8,
-            l2_bytes: 1024 * 1024,
-            l2_assoc: 2,
-            l2_line: 64,
-            l2_mshrs: 8,
-            memory_latency: 40,
-            bus_bytes: 8,
-        }
-    }
-
-    /// Bus cycles needed to transfer one L2 line from memory.
-    pub fn line_transfer_cycles(&self) -> u64 {
-        (self.l2_line as u64).div_ceil(self.bus_bytes as u64)
-    }
-
-    /// Validates structural parameters (power-of-two sizes, non-zero
-    /// capacities and latencies, line sizes that divide the capacity, a
-    /// bus that divides the L2 line).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid parameter.
-    pub fn validate(&self) -> Result<(), String> {
-        let pow2 = |name: &str, v: u32| -> Result<(), String> {
-            if v == 0 || !v.is_power_of_two() {
-                Err(format!("{name} must be a non-zero power of two, got {v}"))
-            } else {
-                Ok(())
-            }
-        };
-        pow2("l1_bytes", self.l1_bytes)?;
-        pow2("l1_line", self.l1_line)?;
-        pow2("l2_bytes", self.l2_bytes)?;
-        pow2("l2_line", self.l2_line)?;
-        pow2("bus_bytes", self.bus_bytes)?;
-        if self.l1_assoc == 0 || self.l2_assoc == 0 {
-            return Err("associativity must be non-zero".into());
-        }
-        if self.l1_mshrs == 0 || self.l2_mshrs == 0 {
-            return Err("MSHR count must be non-zero".into());
-        }
-        if !self.l1_bytes.is_multiple_of(self.l1_line * self.l1_assoc) {
-            return Err("L1 capacity must be divisible by line × assoc".into());
-        }
-        if !self.l2_bytes.is_multiple_of(self.l2_line * self.l2_assoc) {
-            return Err("L2 capacity must be divisible by line × assoc".into());
-        }
-        if self.l1_hit_latency == 0 {
-            return Err("l1_hit_latency must be non-zero".into());
-        }
-        if self.l1_miss_latency == 0 {
-            return Err("l1_miss_latency must be non-zero (it covers the L2 lookup)".into());
-        }
-        if self.memory_latency == 0 {
-            return Err("memory_latency must be non-zero".into());
-        }
-        if self.bus_bytes > self.l2_line || !self.l2_line.is_multiple_of(self.bus_bytes) {
-            return Err(format!(
-                "bus width {} must divide the L2 line size {}",
-                self.bus_bytes, self.l2_line
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig::table1()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn table1_is_valid() {
-        assert_eq!(CacheConfig::table1().validate(), Ok(()));
-    }
-
-    #[test]
-    fn table1_matches_paper() {
-        let c = CacheConfig::table1();
-        assert_eq!(c.l1_bytes, 16 * 1024);
-        assert_eq!(c.l1_assoc, 2);
-        assert_eq!(c.l2_bytes, 1024 * 1024);
-        assert_eq!(c.l2_assoc, 2);
-        assert_eq!(c.l1_mshrs, 8);
-        assert_eq!(c.l2_mshrs, 8);
-        assert_eq!(c.bus_bytes, 8);
-    }
-
-    #[test]
     fn line_transfer() {
-        assert_eq!(CacheConfig::table1().line_transfer_cycles(), 8); // 64B / 8B
-        assert_eq!(HierarchyConfig::table1().line_transfer_cycles(), 8);
+        assert_eq!(HierarchyConfig::table1().line_transfer_cycles(), 8); // 64B / 8B
         assert_eq!(HierarchyConfig::three_level().line_transfer_cycles(), 8); // 128B / 16B
-    }
-
-    #[test]
-    fn invalid_configs_rejected() {
-        let mut c = CacheConfig::table1();
-        c.l1_bytes = 3000;
-        assert!(c.validate().is_err());
-        let mut c = CacheConfig::table1();
-        c.l1_mshrs = 0;
-        assert!(c.validate().is_err());
-        let mut c = CacheConfig::table1();
-        c.l1_assoc = 3; // 16384 % (32*3) != 0
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn zero_latencies_rejected() {
-        let mut c = CacheConfig::table1();
-        c.memory_latency = 0;
-        assert_eq!(c.validate(), Err("memory_latency must be non-zero".into()));
-        let mut c = CacheConfig::table1();
-        c.l1_hit_latency = 0;
-        assert_eq!(c.validate(), Err("l1_hit_latency must be non-zero".into()));
-        let mut c = CacheConfig::table1();
-        c.l1_miss_latency = 0;
-        assert!(c.validate().unwrap_err().contains("l1_miss_latency"));
-    }
-
-    #[test]
-    fn wide_bus_rejected() {
-        let mut c = CacheConfig::table1();
-        c.bus_bytes = 128; // wider than the 64 B L2 line
-        assert_eq!(
-            c.validate(),
-            Err("bus width 128 must divide the L2 line size 64".into())
-        );
     }
 
     #[test]
@@ -472,42 +274,61 @@ mod tests {
         assert_eq!(HierarchyConfig::tiny_l1().depth(), 1);
     }
 
-    #[test]
-    fn lowering_matches_table1() {
-        let h: HierarchyConfig = CacheConfig::table1().into();
-        assert_eq!(h.depth(), 2);
-        let (l1, l2) = (&h.levels[0], &h.levels[1]);
-        assert_eq!((l1.bytes, l1.assoc, l1.line), (16 * 1024, 2, 32));
-        assert_eq!((l1.hit_latency, l1.miss_latency, l1.mshrs), (2, 6, 8));
-        assert_eq!(l1.write_policy, WritePolicy::WriteThrough);
-        assert_eq!((l2.bytes, l2.assoc, l2.line, l2.mshrs), (1024 * 1024, 2, 64, 8));
-        assert_eq!(l2.hit_latency, 0, "L2 hits complete at lookup resolution");
-        assert_eq!(l2.write_policy, WritePolicy::WriteBack);
-        assert_eq!((h.memory_latency, h.bus_bytes), (40, 8));
-        assert_eq!(h.validate(), Ok(()));
-        assert_eq!(h, HierarchyConfig::table1());
-    }
-
+    /// One case per check of [`HierarchyConfig::validate`].
     #[test]
     fn hierarchy_validate_reports_the_level() {
+        let rejects = |edit: &dyn Fn(&mut HierarchyConfig)| {
+            let mut h = HierarchyConfig::table1();
+            edit(&mut h);
+            h.validate().expect_err("the edit makes the hierarchy invalid")
+        };
+        assert_eq!(
+            rejects(&|h| h.levels.clear()),
+            "hierarchy must have at least one cache level"
+        );
+        assert!(rejects(&|h| h.levels = vec![h.levels[0]; MAX_LEVELS + 1]).contains("at most"));
+        assert_eq!(
+            rejects(&|h| h.levels[0].bytes = 3000),
+            "level 0: bytes must be a non-zero power of two, got 3000"
+        );
+        assert_eq!(
+            rejects(&|h| h.levels[1].line = 48),
+            "level 1: line must be a non-zero power of two, got 48"
+        );
+        assert_eq!(
+            rejects(&|h| h.levels[1].assoc = 0),
+            "level 1: associativity must be non-zero"
+        );
+        assert_eq!(rejects(&|h| h.levels[0].mshrs = 0), "level 0: MSHR count must be non-zero");
+        assert_eq!(
+            rejects(&|h| h.levels[1].mshrs = 1 << 16),
+            "level 1: MSHR count 65536 exceeds 65535"
+        );
+        assert_eq!(
+            rejects(&|h| h.levels[0].assoc = 3), // 16384 % (32 * 3) != 0
+            "level 0: capacity must be divisible by line × assoc"
+        );
+        assert_eq!(
+            rejects(&|h| h.levels[0].hit_latency = 0),
+            "level 0: hit latency must be non-zero"
+        );
+        assert!(rejects(&|h| h.levels[0].miss_latency = 0).starts_with("level 0: miss latency"));
+        assert_eq!(
+            rejects(&|h| h.bus_bytes = 12),
+            "bus_bytes must be a non-zero power of two, got 12"
+        );
+        assert_eq!(rejects(&|h| h.memory_latency = 0), "memory latency must be non-zero");
+        assert_eq!(
+            rejects(&|h| h.bus_bytes = 128), // wider than the 64 B L2 line
+            "bus width 128 must divide the last-level line size 64"
+        );
+
+        // A deeper level names itself.
         let mut h = HierarchyConfig::three_level();
         h.levels[1].mshrs = 0;
         assert_eq!(h.validate(), Err("level 1: MSHR count must be non-zero".into()));
         let mut h = HierarchyConfig::three_level();
         h.levels[1].miss_latency = 0;
         assert!(h.validate().unwrap_err().starts_with("level 1: miss latency"));
-        let mut h = HierarchyConfig::three_level();
-        h.memory_latency = 0;
-        assert_eq!(h.validate(), Err("memory latency must be non-zero".into()));
-        let mut h = HierarchyConfig::three_level();
-        h.bus_bytes = 256; // wider than the 128 B L3 line
-        assert!(h.validate().unwrap_err().contains("must divide the last-level line"));
-        let mut h = HierarchyConfig::table1();
-        h.levels.clear();
-        assert!(h.validate().is_err());
-        let mut h = HierarchyConfig::table1();
-        let lvl = h.levels[0];
-        h.levels = vec![lvl; MAX_LEVELS + 1];
-        assert!(h.validate().unwrap_err().contains("at most"));
     }
 }

@@ -10,8 +10,7 @@
 //!   [`HierarchyConfig`] (per-level capacity, associativity, latencies,
 //!   MSHRs and write policy) behind a split-transaction bus. The paper's
 //!   Table 1 model — write-through L1, write-back L2 — is the two-level
-//!   special case, still available as [`CacheConfig::table1`], which
-//!   lowers to an equivalent hierarchy bit-for-bit.
+//!   [`HierarchyConfig::table1`].
 //!
 //! The cache simulator follows the paper's narrow interface exactly
 //! (§4.1): the µ-architecture issues a load and receives "the shortest
@@ -41,5 +40,5 @@ mod config;
 mod memory;
 
 pub use cache::{CacheSim, CacheStats, LevelStats, LoadId, PollResult};
-pub use config::{CacheConfig, CacheLevelConfig, HierarchyConfig, WritePolicy, MAX_LEVELS};
+pub use config::{CacheLevelConfig, HierarchyConfig, WritePolicy, MAX_LEVELS};
 pub use memory::{Memory, PAGE_BYTES};

@@ -32,8 +32,9 @@
 //!
 //! A `submit` expands to kernel × replica jobs, all admitted atomically
 //! (the whole submission is rejected if the queue cannot hold it —
-//! backpressure). A worker pops a job, clones its group's current frozen
-//! snapshot, and runs it **outside** the scheduler lock inside
+//! backpressure — or, with a journal, if the journal does not take it).
+//! A worker pops a job, clones its group's frozen snapshot (the batch
+//! driver's held freeze), and runs it **outside** the scheduler lock inside
 //! `catch_unwind`; deadlines use the engine's transparent chunked
 //! execution ([`fastsim_core::run_single`]). On success the delta is
 //! merged into the group's master and, every
@@ -66,18 +67,16 @@
 use crate::client::Stream;
 use crate::conn::{ConnBuf, Ingest};
 use crate::http::HttpParser;
-use crate::journal::{JournalRecord, SubmitRecord};
+use crate::journal::{JournalError, JournalRecord, SubmitRecord};
 use crate::json::Json;
 use crate::protocol::{ok_response, Incoming, Request, ServeError, SubmitSpec};
-use crate::state::{
-    Completion, Core, GroupCtl, JobRecord, JobStatus, ServerState, WaitKind, Waiter,
-};
+use crate::state::{Completion, Core, JobRecord, JobStatus, ServerState, WaitKind, Waiter};
 use crate::sys::{
     set_nonblocking, wake_pipe, Epoll, EpollEvent, WakeReader, EPOLLERR, EPOLLHUP, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP,
 };
 use fastsim_core::{
-    run_single, BatchJob, HierarchyConfig, JobFailure, JobReport, WarmCacheSnapshot,
+    run_single, BatchDriver, BatchJob, HierarchyConfig, JobFailure, JobReport, WarmCacheSnapshot,
 };
 use fastsim_workloads::Manifest;
 use std::collections::HashMap;
@@ -812,10 +811,9 @@ fn handle_snapshot_export(
             Json::Arr(groups.iter().map(|fp| Json::Str(format!("{fp:016x}"))).collect()),
         )]));
     };
-    let Some(ctl) = core.groups.get(&fingerprint) else {
+    let Some(snapshot) = core.driver.held_snapshot(fingerprint).cloned() else {
         return Err(ServeError::bad_request(format!("unknown group {fingerprint:016x}")));
     };
-    let snapshot = ctl.snapshot.clone();
     drop(core);
     let bytes = snapshot.encode();
     Ok(ok_response([
@@ -843,18 +841,15 @@ fn handle_snapshot_import(state: &Arc<ServerState>, data: &str) -> Result<Json, 
     let fingerprint = snapshot.fingerprint();
     let mut core = state.core.lock().unwrap();
     let merge = core.driver.import_snapshot(&snapshot);
-    let fresh =
-        core.driver.current_snapshot(fingerprint).expect("import ensured the group's master");
-    let changed = match core.groups.get_mut(&fingerprint) {
-        Some(ctl) => replace_snapshot(ctl, &fresh),
-        None => {
-            core.groups.insert(fingerprint, GroupCtl::new(fresh.clone()));
-            true
-        }
+    core.groups.entry(fingerprint).or_default();
+    let persist = match merge {
+        // Adopted: the snapshot is now the group's held freeze.
+        None => Some(snapshot),
+        Some(_) => refreeze(&mut core.driver, fingerprint),
     };
     drop(core);
     state.metrics.snapshot_loaded(bytes.len() as u64, 0);
-    if changed {
+    if let Some(fresh) = persist {
         persist_snapshot(state, &fresh);
     }
     let mut members = vec![
@@ -874,26 +869,26 @@ fn handle_snapshot_import(state: &Arc<ServerState>, data: &str) -> Result<Json, 
     Ok(ok_response(members))
 }
 
-/// Installs `fresh` as the group's current snapshot; `false` when it is
-/// the snapshot the group already had (a re-freeze with nothing new
-/// merged hands back the same frozen cache), so there is nothing to
-/// persist.
-fn replace_snapshot(ctl: &mut GroupCtl, fresh: &WarmCacheSnapshot) -> bool {
-    let changed = !std::ptr::eq(ctl.snapshot.cache(), fresh.cache());
-    ctl.snapshot = fresh.clone();
-    changed
+/// Re-freezes the group's master and returns the fresh snapshot, or
+/// `None` when the re-freeze handed back the freeze the group already held
+/// (nothing new merged since), so there is nothing to persist.
+fn refreeze(driver: &mut BatchDriver, fingerprint: u64) -> Option<WarmCacheSnapshot> {
+    let held = driver.held_snapshot(fingerprint).cloned();
+    let fresh = driver.current_snapshot(fingerprint).expect("the group has a master");
+    let unchanged = held.is_some_and(|h| std::ptr::eq(h.cache(), fresh.cache()));
+    (!unchanged).then_some(fresh)
 }
 
 /// Appends records to the journal and fsyncs (a no-op without one),
 /// updating the journal counters. Called with the scheduler lock held —
 /// the journal lock nests strictly inside it — because the append *is*
-/// the durability point the subsequent acknowledgment relies on. An
-/// append failure degrades durability, not service: it is logged and
-/// counted, and the server keeps running.
-fn journal_append(state: &ServerState, records: &[JournalRecord]) {
-    let Some(journal) = &state.journal else { return };
+/// the durability point the caller relies on. A failure is counted,
+/// logged and returned: a submission is refused over it, while a failed
+/// start, completion or abandon record degrades durability, not service.
+fn journal_append(state: &ServerState, records: &[JournalRecord]) -> Result<(), JournalError> {
+    let Some(journal) = &state.journal else { return Ok(()) };
     if records.is_empty() {
-        return;
+        return Ok(());
     }
     let mut journal = journal.lock().unwrap();
     match journal.append_all(records) {
@@ -905,10 +900,12 @@ fn journal_append(state: &ServerState, records: &[JournalRecord]) {
             if outcome.compacted {
                 state.metrics.journal_compacted();
             }
+            Ok(())
         }
         Err(e) => {
             state.metrics.journal_rejected(1);
-            eprintln!("journal: append failed ({e}); continuing without durability for it");
+            eprintln!("journal: append failed ({e})");
+            Err(e)
         }
     }
 }
@@ -1052,36 +1049,44 @@ fn handle_submit(state: &Arc<ServerState>, token: u64, spec: &SubmitSpec) -> Out
             state.cfg.queue_capacity
         ));
     }
-    let mut ids = Vec::with_capacity(jobs.len());
-    let mut journaled = Vec::with_capacity(jobs.len());
-    for expanded in jobs {
-        let name = expanded.job.name.clone();
-        let id = state
-            .admit(
-                &mut core,
-                expanded.job,
-                &spec.client,
-                spec.priority,
-                timeout,
-                spec.chaos_panics,
-            )
-            .expect("capacity checked above");
-        ids.push(id);
-        journaled.push(JournalRecord::Submit(SubmitRecord {
-            id,
-            name,
-            kernel: expanded.kernel,
-            insts: spec.insts,
-            client: spec.client.clone(),
-            band: spec.priority as u32,
-            hierarchy: expanded.hierarchy,
-            timeout_ms: timeout.map(|t| t.as_millis() as u64),
-            chaos_panics: spec.chaos_panics,
-        }));
+    // Durability point: the submits are journaled and fsynced under the
+    // ids admission assigns next, *before* anything is admitted or
+    // acknowledged — an acked job survives a SIGKILL, and a submission the
+    // journal did not take is refused whole.
+    let first_id = core.next_id;
+    let (jobs, journaled): (Vec<BatchJob>, Vec<JournalRecord>) = jobs
+        .into_iter()
+        .zip(first_id..)
+        .map(|(ExpandedJob { job, kernel, hierarchy }, id)| {
+            let record = SubmitRecord {
+                id,
+                name: job.name.clone(),
+                kernel,
+                insts: spec.insts,
+                client: spec.client.clone(),
+                band: spec.priority as u32,
+                hierarchy,
+                timeout_ms: timeout.map(|t| t.as_millis() as u64),
+                chaos_panics: spec.chaos_panics,
+            };
+            (job, JournalRecord::Submit(record))
+        })
+        .unzip();
+    if let Err(e) = journal_append(state, &journaled) {
+        // The ids stay spent: a record that reached the disk before the
+        // failure must never name a later job.
+        core.next_id = first_id + jobs.len() as u64;
+        return refuse(format!("submission not journaled, nothing admitted: {e}"));
     }
-    // Durability point: the submits are journaled and fsynced *before*
-    // the acknowledgment below — an acked job survives a SIGKILL.
-    journal_append(state, &journaled);
+    let ids: Vec<u64> = jobs
+        .into_iter()
+        .map(|job| {
+            state
+                .admit(&mut core, job, &spec.client, spec.priority, timeout, spec.chaos_panics)
+                .expect("capacity checked above")
+        })
+        .collect();
+    debug_assert!(ids.iter().copied().eq(first_id..core.next_id), "journaled ids admitted");
     state
         .metrics
         .submitted(ids.len() as u64, (core.queue.len() + core.queue.parked_len()) as u64);
@@ -1200,9 +1205,13 @@ fn worker_loop(state: &Arc<ServerState>) {
                 let job = record.job.take().expect("queued jobs carry their BatchJob");
                 let deadline = record.timeout.map(|t| Instant::now() + t);
                 let fingerprint = record.fingerprint;
-                let snapshot = core.groups[&fingerprint].snapshot.clone();
+                let snapshot = core
+                    .driver
+                    .held_snapshot(fingerprint)
+                    .expect("admission froze the group")
+                    .clone();
                 core.in_flight += 1;
-                journal_append(state, &[JournalRecord::Start { id: entry.id }]);
+                let _ = journal_append(state, &[JournalRecord::Start { id: entry.id }]);
                 break (entry.id, job, snapshot, deadline, panics);
             }
             // Nothing runnable: sleep until the earliest parked job is
@@ -1248,7 +1257,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                 state.metrics.completed(latency);
                 // Settled before the result is observable: a kill after
                 // this line can never rerun the job.
-                journal_append(state, &[JournalRecord::Complete { id }]);
+                let _ = journal_append(state, &[JournalRecord::Complete { id }]);
 
                 // Re-freeze cadence: after `refreeze_every` merges, freeze
                 // the accumulated master so later jobs start warmer, and
@@ -1262,14 +1271,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                     group.deltas_since_freeze = 0;
                     group.hits_window = 0;
                     group.lookups_window = 0;
-                    let fresh = core
-                        .driver
-                        .current_snapshot(fingerprint)
-                        .expect("group exists");
-                    let group = core.groups.get_mut(&fingerprint).expect("group exists");
-                    if replace_snapshot(group, &fresh) {
-                        persist = Some(fresh);
-                    }
+                    persist = refreeze(&mut core.driver, fingerprint);
                     state.metrics.refrozen(fingerprint, rate);
                 }
             }
@@ -1284,7 +1286,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                 record.status = JobStatus::Failed;
                 let reason = failure.to_string();
                 record.error = Some(reason.clone());
-                journal_append(state, &[JournalRecord::Abandon { id, reason }]);
+                let _ = journal_append(state, &[JournalRecord::Abandon { id, reason }]);
             }
             Err(payload) => {
                 state.metrics.panicked();
@@ -1298,7 +1300,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                     );
                     record.error = Some(reason.clone());
                     state.metrics.quarantined();
-                    journal_append(state, &[JournalRecord::Abandon { id, reason }]);
+                    let _ = journal_append(state, &[JournalRecord::Abandon { id, reason }]);
                 } else {
                     // Park for exponential backoff, then retry.
                     record.status = JobStatus::Queued;

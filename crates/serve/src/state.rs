@@ -1,4 +1,4 @@
-//! Internal scheduler state: the job table, per-group snapshot control,
+//! Internal scheduler state: the job table, per-group re-freeze control,
 //! the waiter/completion rendezvous between workers and the I/O loop,
 //! and the work condvar workers sleep on. Not part of the public API —
 //! the server module owns the only instance.
@@ -9,9 +9,7 @@ use crate::metrics::Metrics;
 use crate::queue::{JobQueue, QueueEntry};
 use crate::server::{Faults, ServeConfig};
 use crate::sys::Waker;
-use fastsim_core::{
-    BatchDriver, BatchJob, HierarchyConfig, JobReport, SnapshotStore, WarmCacheSnapshot,
-};
+use fastsim_core::{BatchDriver, BatchJob, HierarchyConfig, JobReport, SnapshotStore};
 use fastsim_workloads::Manifest;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
@@ -84,13 +82,13 @@ pub struct JobRecord {
     pub error: Option<String>,
 }
 
-/// Per-group snapshot control: the snapshot handed to every job of the
-/// group until the next re-freeze, plus the merge/lookups window that
-/// decides and describes re-freezes.
+/// Per-group re-freeze control: the merge/lookups window that decides and
+/// describes re-freezes. The snapshot every job of the group thaws from
+/// until the next re-freeze is the driver's held freeze
+/// ([`BatchDriver::held_snapshot`]).
+#[derive(Default)]
 pub struct GroupCtl {
-    /// The current frozen snapshot jobs thaw from.
-    pub snapshot: WarmCacheSnapshot,
-    /// Deltas merged since the snapshot was frozen.
+    /// Deltas merged since the group was last frozen.
     pub deltas_since_freeze: usize,
     /// Config-lookup hits by jobs merged since the last freeze.
     pub hits_window: u64,
@@ -99,12 +97,6 @@ pub struct GroupCtl {
 }
 
 impl GroupCtl {
-    /// Control for a group whose current snapshot is `snapshot`, with an
-    /// empty window.
-    pub fn new(snapshot: WarmCacheSnapshot) -> GroupCtl {
-        GroupCtl { snapshot, deltas_since_freeze: 0, hits_window: 0, lookups_window: 0 }
-    }
-
     /// The window's memoization hit rate (0 when no lookups).
     pub fn window_hit_rate(&self) -> f64 {
         if self.lookups_window == 0 {
@@ -161,7 +153,8 @@ pub struct Core {
     pub jobs: BTreeMap<u64, JobRecord>,
     /// The batch driver owning the master p-action caches.
     pub driver: BatchDriver,
-    /// Per-group snapshot control, by fingerprint.
+    /// Per-group re-freeze control, by fingerprint: every group here has
+    /// a held freeze in the driver.
     pub groups: HashMap<u64, GroupCtl>,
     /// Next job id to assign.
     pub next_id: u64,
@@ -257,7 +250,7 @@ impl ServerState {
                     for loaded in report.loaded {
                         let fingerprint = loaded.snapshot.fingerprint();
                         if driver.adopt_snapshot(&loaded.snapshot) {
-                            groups.insert(fingerprint, GroupCtl::new(loaded.snapshot));
+                            groups.insert(fingerprint, GroupCtl::default());
                             metrics.snapshot_loaded(loaded.bytes as u64, loaded.generation);
                         }
                     }
@@ -310,14 +303,7 @@ impl ServerState {
                     };
                     match built {
                         Ok(job) => {
-                            let fingerprint = driver.ensure_group(&job);
-                            groups.entry(fingerprint).or_insert_with(|| {
-                                GroupCtl::new(
-                                    driver
-                                        .current_snapshot(fingerprint)
-                                        .expect("group ensured above"),
-                                )
-                            });
+                            let fingerprint = ensure_group(&mut driver, &mut groups, &job);
                             record.job = Some(job);
                             record.fingerprint = fingerprint;
                             queue
@@ -392,8 +378,7 @@ impl ServerState {
     }
 
     /// Admits one expanded job under the scheduler lock: assigns an id,
-    /// ensures its group (creating the [`GroupCtl`] with the group's
-    /// current snapshot on first sight), and queues it. Fails with the
+    /// ensures its group ([`ensure_group`]), and queues it. Fails with the
     /// admission-control error when the queue is full.
     ///
     /// # Errors
@@ -415,12 +400,7 @@ impl ServerState {
                 self.cfg.queue_capacity
             ));
         }
-        let fingerprint = core.driver.ensure_group(&job);
-        if !core.groups.contains_key(&fingerprint) {
-            let snapshot =
-                core.driver.current_snapshot(fingerprint).expect("group ensured above");
-            core.groups.insert(fingerprint, GroupCtl::new(snapshot));
-        }
+        let fingerprint = ensure_group(&mut core.driver, &mut core.groups, &job);
         let id = core.next_id;
         core.next_id += 1;
         let entry = QueueEntry { id, client: client.to_string(), band };
@@ -445,6 +425,22 @@ impl ServerState {
         );
         Ok(id)
     }
+}
+
+/// Ensures the job's group in the driver and returns its fingerprint. On
+/// first sight the group is frozen (the snapshot its jobs thaw from) and
+/// its [`GroupCtl`] window opens.
+fn ensure_group(
+    driver: &mut BatchDriver,
+    groups: &mut HashMap<u64, GroupCtl>,
+    job: &BatchJob,
+) -> u64 {
+    let fingerprint = driver.ensure_group(job);
+    groups.entry(fingerprint).or_insert_with(|| {
+        driver.current_snapshot(fingerprint).expect("group ensured above");
+        GroupCtl::default()
+    });
+    fingerprint
 }
 
 /// Rebuilds the simulation job for one journaled submission. The journal

@@ -7,7 +7,7 @@
 //! cargo run --release --example custom_microarchitecture [-- <workload>]
 //! ```
 
-use fastsim::core::{CacheConfig, Mode, Simulator, UArchConfig};
+use fastsim::core::{HierarchyConfig, Mode, Simulator, UArchConfig};
 use fastsim::workloads::by_name;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,16 +42,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     narrow.iq_capacity = 8;
     narrow.max_branches = 1;
 
-    let mut big_l1 = CacheConfig::table1();
-    big_l1.l1_bytes = 64 * 1024;
+    let mut big_l1 = HierarchyConfig::table1();
+    big_l1.levels[0].bytes = 64 * 1024;
 
     println!("workload {}\n", workload.name);
     println!("{:<26} {:>12} {:>8} {:>10}", "machine", "cycles", "IPC", "L1 miss%");
     for (label, uarch, cache) in [
-        ("narrow (1-wide)", narrow, CacheConfig::table1()),
-        ("Table 1 (R10000-like)", table1, CacheConfig::table1()),
+        ("narrow (1-wide)", narrow, HierarchyConfig::table1()),
+        ("Table 1 (R10000-like)", table1, HierarchyConfig::table1()),
         ("Table 1 + 64KB L1", table1, big_l1),
-        ("wide (8-wide)", wide, CacheConfig::table1()),
+        ("wide (8-wide)", wide, HierarchyConfig::table1()),
     ] {
         let mut sim = Simulator::with_configs(&program, Mode::fast(), uarch, cache)?;
         sim.run_to_completion()?;

@@ -1,14 +1,14 @@
-//! Warm-start memoization (an extension beyond the paper): carry the
-//! p-action cache from one simulation into the next run of the same
-//! program, so the second run fast-forwards almost from the first cycle —
-//! the cross-run analogue of the paper's "fast forwards the simulation the
-//! next time a cached state is reached".
+//! Warm-start memoization (an extension beyond the paper): freeze the
+//! p-action cache of one simulation and thaw it into the next run of the
+//! same program, so the second run fast-forwards almost from the first
+//! cycle — the cross-run analogue of the paper's "fast forwards the
+//! simulation the next time a cached state is reached".
 //!
 //! ```text
 //! cargo run --release --example warm_start [-- <workload>]
 //! ```
 
-use fastsim::core::{CacheConfig, Mode, Simulator, UArchConfig};
+use fastsim::core::{HierarchyConfig, Mode, Simulator, UArchConfig};
 use fastsim::workloads::by_name;
 use std::time::Instant;
 
@@ -31,19 +31,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let cycles = cold.stats().cycles;
     let cold_detailed = cold.stats().detailed_insts;
-    let warm_cache = cold.take_warm_cache().expect("fast mode");
+    let snapshot = cold.take_warm_cache().expect("fast mode").freeze();
     println!(
         "           p-action cache: {} configurations, {:.0} KB",
-        warm_cache.stats().static_configs,
-        warm_cache.stats().bytes as f64 / 1024.0
+        snapshot.stats().static_configs,
+        snapshot.stats().bytes as f64 / 1024.0
     );
 
-    // Warm run: same program, same model, pre-populated cache.
-    let mut warm = Simulator::with_warm_cache(
+    // Warm run: same program, same model, thawed from the frozen cache.
+    let mut warm = Simulator::with_warm_snapshot(
         &program,
-        warm_cache,
+        &snapshot,
         UArchConfig::table1(),
-        CacheConfig::table1(),
+        HierarchyConfig::table1(),
     )?;
     let t = Instant::now();
     warm.run_to_completion()?;

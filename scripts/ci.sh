@@ -23,7 +23,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (rustdoc -D warnings on the missing_docs-gated crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p fastsim-core -p fastsim-memo -p fastsim-serve -p fastsim-fuzz -p fastsim-hash \
-    -p fastsim-mem
+    -p fastsim-mem -p fastsim-baseline
 
 echo "==> docs link check"
 scripts/check_links.sh
@@ -279,27 +279,6 @@ for key in '"schema": "fastsim-serve-scale/v1"' '"debug_build": false' \
     }
 done
 echo "==> serve scale smoke passed ($SCALE_OUT)"
-
-echo "==> snapshot smoke: durable warm-cache round trip through store and wire"
-# The durable-warmth gate: run the same tiny round cold, warm from an
-# on-disk SnapshotStore (simulated restart) and warm from encoded
-# fastsim-snapshot/v3 bytes (simulated shipping). The bench exits
-# nonzero unless all three legs are bit-identical and both warmed legs
-# hit at >= 0.9, so a codec or store regression fails before the grep.
-SNAP_OUT="target/bench_snapshot_smoke.json"
-cargo run --release -q -p fastsim-bench --bin snapshot_study -- \
-    --insts 20000 --filter compress --out "$SNAP_OUT"
-for key in '"schema": "fastsim-snapshot-study/v1"' '"debug_build": false' \
-    '"cold_hit_rate"' '"snapshots_saved"' '"snapshot_bytes_total"' \
-    '"snapshots_loaded"' '"snapshots_rejected": 0' '"warm_hit_rate"' \
-    '"encode_mb_per_s"' '"decode_mb_per_s"' '"import_hit_rate"' \
-    '"results_identical": true' '"warm_ok": true'; do
-    grep -qF "$key" "$SNAP_OUT" || {
-        echo "snapshot smoke: missing $key in $SNAP_OUT" >&2
-        exit 1
-    }
-done
-echo "==> snapshot smoke passed ($SNAP_OUT)"
 
 echo "==> fuzz smoke: 500 generated kernels through the differential oracle"
 # Fixed seed, fully offline: replay the checked-in fuzz/corpus/ golden

@@ -271,10 +271,10 @@ fn merge_pin_table() -> String {
             m.configs_added, m.actions_added, m.branches_grafted, m.configs_deduped, m.bytes_added
         ));
     };
-    let master_rows = |out: &mut String, round: usize, driver: &BatchDriver| {
+    let master_rows = |out: &mut String, round: usize, driver: &mut BatchDriver| {
         for g in &groups {
             let fp = g.job.fingerprint();
-            let Some(master) = driver.warm_snapshot(fp) else { continue };
+            let Some(master) = driver.current_snapshot(fp) else { continue };
             let hash =
                 fastsim_hash::hash64(&snapshot_content(&encode_snapshot(master.cache(), fp)));
             out.push_str(&format!("{round}\tmaster\t{}\t-\t-\t-\t-\t-\t{hash:016x}\n", g.label));
@@ -296,14 +296,14 @@ fn merge_pin_table() -> String {
         let m = driver.import_snapshot(&seed).expect("the group exists, so the import merges");
         merge_row(&mut out, 0, "import", &g.label, m);
     }
-    master_rows(&mut out, 0, &driver);
+    master_rows(&mut out, 0, &mut driver);
     for round in 1..=MERGE_PIN_ROUNDS {
         let report = driver.run_round(&jobs).expect("round runs");
         for (i, job) in report.jobs.iter().enumerate() {
             let label = format!("{}#{}", groups[i / 2].label, i % 2);
             merge_row(&mut out, round, "merge", &label, job.merge);
         }
-        master_rows(&mut out, round, &driver);
+        master_rows(&mut out, round, &mut driver);
     }
     out
 }

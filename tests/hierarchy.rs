@@ -55,50 +55,6 @@ fn fast_equals_slow_at_every_depth() {
     }
 }
 
-/// The flat two-level `CacheConfig` and its lowered `HierarchyConfig` are
-/// the same machine: identical statistics, identical warm-cache
-/// fingerprint groups (snapshots interchange between the two spellings).
-#[test]
-fn table1_lowering_is_bit_identical() {
-    let w = by_name("compress").expect("workload exists");
-    let program = w.program_for_insts(40_000);
-
-    let mut flat = Simulator::new(&program, Mode::fast()).expect("flat builds");
-    flat.run_to_completion().expect("flat completes");
-    let flat_stats = *flat.stats();
-    let flat_cache = *flat.cache_stats();
-    let flat_output = flat.output().to_vec();
-    let snap = flat.take_warm_cache().expect("fast mode").freeze();
-
-    let mut lowered = Simulator::with_configs(
-        &program,
-        Mode::fast(),
-        UArchConfig::table1(),
-        HierarchyConfig::table1(),
-    )
-    .expect("lowered builds");
-    lowered.run_to_completion().expect("lowered completes");
-
-    // A snapshot recorded under the flat spelling warms the lowered one.
-    let mut warm = Simulator::with_warm_snapshot(
-        &program,
-        &snap,
-        UArchConfig::table1(),
-        HierarchyConfig::table1(),
-    )
-    .expect("fingerprints agree across the two spellings");
-    warm.run_to_completion().expect("warm completes");
-
-    assert_eq!(*lowered.stats(), flat_stats, "lowered SimStats");
-    assert_eq!(*lowered.cache_stats(), flat_cache, "lowered cache stats");
-    // The warm run replays more than the cold run did (mode-dependent
-    // split); its simulation results must still be identical.
-    assert_eq!(warm.stats().cycles, flat_stats.cycles, "warm cycles");
-    assert_eq!(warm.stats().retired_insts, flat_stats.retired_insts, "warm insts");
-    assert_eq!(*warm.cache_stats(), flat_cache, "warm cache stats");
-    assert_eq!(warm.output(), flat_output, "warm output");
-}
-
 /// Deeper hierarchies actually change timing (the presets are not
 /// degenerate aliases of each other) while functional results never move.
 #[test]

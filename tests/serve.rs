@@ -973,3 +973,53 @@ fn an_over_cap_record_is_refused_and_the_journal_stays_readable() {
     assert!(!recovery.torn_tail);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_submit_the_journal_does_not_take_is_refused_and_admits_nothing() {
+    use fastsim::serve::http::MAX_BODY;
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serve_journal_refusal");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig { workers: 1, journal_dir: Some(dir.clone()), ..ServeConfig::default() };
+    let (handle, _socket, http) = start_http_server("journal_refusal", cfg);
+    let mut stream = TcpStream::connect(http).expect("connect http");
+    let post = |stream: &mut TcpStream, body: &str| {
+        let request =
+            format!("POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        http_exchange(stream, &request)
+    };
+
+    // A client name that fills the request body to its cap: the request
+    // is well-formed, but its journal record is over MAX_RECORD.
+    let prefix = r#"{"kernels": ["compress"], "insts": 20000, "client": ""#;
+    let huge = "c".repeat(MAX_BODY - prefix.len() - 2);
+    assert!(huge.len() > MAX_RECORD - 100, "the record must outgrow the journal's cap");
+    let (status, refused) = post(&mut stream, &format!("{prefix}{huge}\"}}"));
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false), "{status}: {refused}");
+    let error = refused.get("error").and_then(Json::as_str).expect("an error message");
+    assert!(error.contains("not journaled"), "{error}");
+
+    // Nothing was admitted under the spent id...
+    let (status, polled) = http_exchange(&mut stream, "GET /v1/jobs/1 HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, 404, "{polled}");
+    assert!(polled.get("error").and_then(Json::as_str).unwrap().contains("unknown job"));
+
+    // ...and the next submission is acknowledged under a fresh one and
+    // journaled: its submit, start and completion are the only appends.
+    let (status, done) = post(
+        &mut stream,
+        r#"{"kernels": ["compress"], "insts": 20000, "client": "normal", "wait": true}"#,
+    );
+    assert_eq!(status, 200, "{done}");
+    let job = &done.get("jobs").and_then(Json::as_arr).expect("jobs")[0];
+    assert_eq!(job.get("id").and_then(Json::as_u64), Some(2), "the refused id stays spent");
+    assert_eq!(job.get("status").and_then(Json::as_str), Some("done"));
+
+    let metrics = handle.kill();
+    let journal = metrics.get("journal").expect("a journal object");
+    assert_eq!(journal.get("rejected").and_then(Json::as_u64), Some(1), "{journal}");
+    assert_eq!(journal.get("appended").and_then(Json::as_u64), Some(3), "{journal}");
+    assert_eq!(metrics.get("submitted").and_then(Json::as_u64), Some(1), "{metrics}");
+    let (_journal, recovery) = Journal::open(&dir).expect("the journal stays readable");
+    assert!(recovery.pending.iter().all(|r| r.client != huge), "the refused submit is not durable");
+    std::fs::remove_dir_all(&dir).ok();
+}

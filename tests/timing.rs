@@ -192,6 +192,49 @@ fn fetch_width_bounds_throughput() {
     assert!((32..=45).contains(&c), "got {c}");
 }
 
+/// Every row of the paper's Table 1, against the configurations the
+/// simulator runs by default: the pipeline, the memory hierarchy and the
+/// branch predictor.
+#[test]
+fn table1_parameters_are_the_papers() {
+    use fastsim::core::{BranchPredictor, HierarchyConfig, PredictorKind, UArchConfig, WritePolicy};
+    let u = UArchConfig::table1();
+    assert_eq!(u.decode_width, 4, "decode 4 instructions per cycle");
+    assert_eq!((u.int_alus, u.fp_units, u.agen_units), (2, 2, 1), "ALUs, FPUs, address adders");
+    assert_eq!((u.phys_int_regs, u.phys_fp_regs), (64, 64), "physical registers");
+    assert_eq!(u.max_branches, 4, "speculation through 4 conditional branches");
+
+    // A 2-bit, 512-entry branch history table, seen through the predictor
+    // the simulator builds: one not-taken outcome does not flip a
+    // saturated counter, and branches 512 words apart share a counter
+    // while branches 256 words apart do not.
+    let mut bht = BranchPredictor::new();
+    assert_eq!(bht.kind(), PredictorKind::Bimodal, "per-branch counters");
+    let pc = 0x1000;
+    for _ in 0..3 {
+        bht.update(pc, true);
+    }
+    bht.update(pc, false);
+    assert!(bht.predict(pc), "2-bit counters");
+    assert!(bht.predict(pc + 512 * 4), "at most 512 entries");
+    assert!(!bht.predict(pc + 256 * 4), "at least 512 entries");
+
+    let h = HierarchyConfig::table1();
+    let [l1, l2] = h.levels[..] else { panic!("two cache levels, got {}", h.depth()) };
+    assert_eq!((l1.mshrs, l2.mshrs), (8, 8), "non-blocking L1 and L2, 8 MSHRs each");
+    assert_eq!(
+        (l1.bytes, l1.assoc, l1.write_policy),
+        (16 * 1024, 2, WritePolicy::WriteThrough),
+        "16 KB 2-way write-through L1"
+    );
+    assert_eq!(
+        (l2.bytes, l2.assoc, l2.write_policy),
+        (1024 * 1024, 2, WritePolicy::WriteBack),
+        "1 MB 2-way write-back L2"
+    );
+    assert_eq!(h.bus_bytes, 8, "8-byte-wide bus");
+}
+
 // ---------------------------------------------------------------------
 // Model pin: the simulated machine's answers on every kernel at every
 // hierarchy preset, committed as a golden table. A change to the timing

@@ -3,7 +3,7 @@
 //! model reuses the first run's p-action cache and fast-forwards almost
 //! from the first cycle — while still producing identical results.
 
-use fastsim::core::{CacheConfig, HierarchyConfig, Mode, Policy, Simulator, UArchConfig};
+use fastsim::core::{HierarchyConfig, Mode, Policy, Simulator, UArchConfig};
 use fastsim::workloads::{all, by_name};
 
 /// Runs a workload cold and returns (stats, frozen warm snapshot).
@@ -24,13 +24,13 @@ fn warm_second_run_is_nearly_all_replay() {
         let mut cold = Simulator::new(&program, Mode::fast()).unwrap();
         cold.run_to_completion().unwrap();
         let cold_stats = *cold.stats();
-        let warm_cache = cold.take_warm_cache().expect("fast mode");
+        let snapshot = cold.take_warm_cache().expect("fast mode").freeze();
 
-        let mut warm = Simulator::with_warm_cache(
+        let mut warm = Simulator::with_warm_snapshot(
             &program,
-            warm_cache,
+            &snapshot,
             UArchConfig::table1(),
-            CacheConfig::table1(),
+            HierarchyConfig::table1(),
         )
         .unwrap();
         warm.run_to_completion().unwrap();
@@ -59,24 +59,24 @@ fn warm_cache_chains_through_many_runs() {
     let mut sim = Simulator::new(&program, Mode::fast()).unwrap();
     sim.run_to_completion().unwrap();
     let reference_cycles = sim.stats().cycles;
-    let mut cache = sim.take_warm_cache().unwrap();
+    let mut snapshot = sim.take_warm_cache().unwrap().freeze();
     for round in 0..3 {
-        let mut next = Simulator::with_warm_cache(
+        let mut next = Simulator::with_warm_snapshot(
             &program,
-            cache,
+            &snapshot,
             UArchConfig::table1(),
-            CacheConfig::table1(),
+            HierarchyConfig::table1(),
         )
         .unwrap();
         next.run_to_completion().unwrap();
         assert_eq!(next.stats().cycles, reference_cycles, "round {round}");
-        cache = next.take_warm_cache().unwrap();
+        snapshot = next.take_warm_cache().unwrap().freeze();
     }
 }
 
 #[test]
 fn warm_cache_respects_its_policy() {
-    // A flushing cache extracted and reused keeps flushing at the same
+    // A flushing cache frozen and thawed keeps flushing at the same
     // limit, and results stay exact.
     let w = by_name("gcc").unwrap();
     let program = w.program_for_insts(80_000);
@@ -84,12 +84,12 @@ fn warm_cache_respects_its_policy() {
     let mut first = Simulator::new(&program, mode).unwrap();
     first.run_to_completion().unwrap();
     let cycles = first.stats().cycles;
-    let cache = first.take_warm_cache().unwrap();
-    let mut second = Simulator::with_warm_cache(
+    let snapshot = first.take_warm_cache().unwrap().freeze();
+    let mut second = Simulator::with_warm_snapshot(
         &program,
-        cache,
+        &snapshot,
         UArchConfig::table1(),
-        CacheConfig::table1(),
+        HierarchyConfig::table1(),
     )
     .unwrap();
     second.run_to_completion().unwrap();
@@ -113,7 +113,7 @@ fn warm_snapshot_strictly_reduces_detailed_simulation() {
             &program,
             &snapshot,
             UArchConfig::table1(),
-            CacheConfig::table1(),
+            HierarchyConfig::table1(),
         )
         .unwrap();
         warm.run_to_completion().unwrap();
@@ -169,7 +169,7 @@ fn warm_restart_is_bit_identical_under_every_policy() {
                 &program,
                 &snapshot,
                 UArchConfig::table1(),
-                CacheConfig::table1(),
+                HierarchyConfig::table1(),
             )
             .unwrap();
             warm.run_to_completion().unwrap();
@@ -203,7 +203,7 @@ fn one_snapshot_seeds_many_identical_runs() {
                         program,
                         snapshot,
                         UArchConfig::table1(),
-                        CacheConfig::table1(),
+                        HierarchyConfig::table1(),
                     )
                     .unwrap();
                     sim.run_to_completion().unwrap();
@@ -229,15 +229,15 @@ fn snapshot_rejects_a_different_model() {
     let (_, snapshot) = cold_run(&program);
     let mut wide = UArchConfig::table1();
     wide.fetch_width += 4;
-    match Simulator::with_warm_snapshot(&program, &snapshot, wide, CacheConfig::table1()) {
+    match Simulator::with_warm_snapshot(&program, &snapshot, wide, HierarchyConfig::table1()) {
         Err(fastsim::core::BuildError::WarmCacheMismatch) => {}
         Err(e) => panic!("expected WarmCacheMismatch, got {e:?}"),
         Ok(_) => panic!("a snapshot for a different model must be rejected"),
     }
 }
 
-/// Every workload restarts warm from a handed-over cache and reproduces
-/// the cold run's results exactly.
+/// Every workload restarts warm from its frozen cache and reproduces the
+/// cold run's results exactly.
 #[test]
 fn every_workload_survives_a_warm_restart() {
     for w in all() {
@@ -246,12 +246,12 @@ fn every_workload_survives_a_warm_restart() {
         cold.run_to_completion().expect(w.name);
         let cold_stats = *cold.stats();
         let cold_output = cold.output().to_vec();
-        let cache = cold.take_warm_cache().expect(w.name);
-        let mut warm = Simulator::with_warm_cache(
+        let snapshot = cold.take_warm_cache().expect(w.name).freeze();
+        let mut warm = Simulator::with_warm_snapshot(
             &program,
-            cache,
+            &snapshot,
             UArchConfig::table1(),
-            CacheConfig::table1(),
+            HierarchyConfig::table1(),
         )
         .expect(w.name);
         warm.run_to_completion().expect(w.name);
@@ -263,8 +263,9 @@ fn every_workload_survives_a_warm_restart() {
 
 /// Warm replay from a thawed snapshot is bit-identical on every workload
 /// of the bench sweep: it reproduces the cold run's results, equals a run
-/// warmed by the handed-over (never frozen) cache in every statistic, and
-/// simulates fewer instructions in detail than the cold run did.
+/// warmed by the same snapshot shipped through its encoding in every
+/// statistic, and simulates fewer instructions in detail than the cold run
+/// did.
 #[test]
 fn warm_replay_identical_on_every_workload() {
     for w in all() {
@@ -273,12 +274,16 @@ fn warm_replay_identical_on_every_workload() {
         cold.run_to_completion().expect("cold completes");
         let cold_stats = *cold.stats();
         let cold_output = cold.output().to_vec();
-        let cache = cold.take_warm_cache().expect("fast mode");
-        let snapshot = cache.freeze();
-        let (uarch, hier) = (UArchConfig::table1(), CacheConfig::table1());
-        let mut handed =
-            Simulator::with_warm_cache(&program, cache, uarch, hier).expect("handed-over builds");
-        handed.run_to_completion().expect("handed-over completes");
+        let snapshot = cold.take_warm_cache().expect("fast mode").freeze();
+        let decoded = fastsim::core::WarmCacheSnapshot::decode(
+            &snapshot.encode(),
+            Some(snapshot.fingerprint()),
+        )
+        .expect("the encoding decodes");
+        let (uarch, hier) = (UArchConfig::table1(), HierarchyConfig::table1());
+        let mut shipped = Simulator::with_warm_snapshot(&program, &decoded, uarch, hier.clone())
+            .expect("shipped builds");
+        shipped.run_to_completion().expect("shipped completes");
         let mut thawed =
             Simulator::with_warm_snapshot(&program, &snapshot, uarch, hier).expect("thawed builds");
         thawed.run_to_completion().expect("thawed completes");
@@ -287,12 +292,12 @@ fn warm_replay_identical_on_every_workload() {
         assert_eq!(s.cycles, cold_stats.cycles, "{}: cycles", w.name);
         assert_eq!(s.retired_insts, cold_stats.retired_insts, "{}: insts", w.name);
         assert_eq!(thawed.output(), cold_output, "{}: output", w.name);
-        assert_eq!(s, handed.stats(), "{}: thawed vs handed-over SimStats", w.name);
-        assert_eq!(thawed.output(), handed.output(), "{}: thawed vs handed-over output", w.name);
+        assert_eq!(s, shipped.stats(), "{}: thawed vs shipped SimStats", w.name);
+        assert_eq!(thawed.output(), shipped.output(), "{}: thawed vs shipped output", w.name);
         let tm = thawed.memo_stats().expect("fast mode");
-        let hm = handed.memo_stats().expect("fast mode");
-        assert_eq!(tm.static_configs, hm.static_configs, "{}: static_configs", w.name);
-        assert_eq!(tm.static_actions, hm.static_actions, "{}: static_actions", w.name);
+        let sm = shipped.memo_stats().expect("fast mode");
+        assert_eq!(tm.static_configs, sm.static_configs, "{}: static_configs", w.name);
+        assert_eq!(tm.static_actions, sm.static_actions, "{}: static_actions", w.name);
         assert!(
             s.detailed_insts < cold_stats.detailed_insts,
             "{}: warm replay must take over detailed work ({} vs cold {})",
@@ -358,7 +363,7 @@ fn budget_pauses_are_transparent() {
     let limit = 16 << 10;
     let w = by_name("129.compress").expect("workload exists");
     let program = w.program_for_insts(40_000);
-    let (uarch, hier) = (UArchConfig::table1(), CacheConfig::table1());
+    let (uarch, hier) = (UArchConfig::table1(), HierarchyConfig::table1());
     let mut slow = Simulator::new(&program, Mode::Slow).expect("builds");
     slow.run_to_completion().expect("completes");
 
@@ -368,15 +373,16 @@ fn budget_pauses_are_transparent() {
         Policy::CopyingGc { limit },
         Policy::GenerationalGc { limit },
     ] {
-        let mut seed = Simulator::with_configs(&program, Mode::Fast { policy }, uarch, hier)
-            .expect("builds");
+        let mut seed =
+            Simulator::with_configs(&program, Mode::Fast { policy }, uarch, hier.clone())
+                .expect("builds");
         seed.run_to_completion().expect("completes");
         let snap = seed.take_warm_cache().expect("fast mode").freeze();
         let build = |thawed: bool| {
             if thawed {
-                Simulator::with_warm_snapshot(&program, &snap, uarch, hier)
+                Simulator::with_warm_snapshot(&program, &snap, uarch, hier.clone())
             } else {
-                Simulator::with_configs(&program, Mode::Fast { policy }, uarch, hier)
+                Simulator::with_configs(&program, Mode::Fast { policy }, uarch, hier.clone())
             }
             .expect("builds")
         };
@@ -496,7 +502,7 @@ fn golden_snapshot_replays_bit_identically() {
         &program,
         &snapshot,
         UArchConfig::table1(),
-        CacheConfig::table1(),
+        HierarchyConfig::table1(),
     )
     .unwrap();
     warm.run_to_completion().unwrap();
